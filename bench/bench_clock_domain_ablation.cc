@@ -17,8 +17,8 @@
  *      breakdown vs DRAM frequency.
  *   2. ICNT-clock sweep under load (BFS).
  *   3. Idle pointer-chase latency vs DRAM clock (Table-I style),
- *      plus the wall-clock effect of every idle fast-forward mode
- *      (off / full / perDomain) on this latency-bound microbench,
+ *      plus the wall-clock effect of both idle fast-forward modes
+ *      (off / perDomain) on this latency-bound microbench,
  *      with per-domain skipped-tick ratios. `--ff-json FILE`
  *      writes the BENCH_fastforward.json perf-trajectory artifact
  *      CI's Release job uploads.
@@ -244,7 +244,7 @@ writeFastForwardArtifact(const std::string &path,
     std::ofstream os(path);
     if (!os)
         fatal("cannot write '", path, "'");
-    os << "{\n  \"schema\": \"gpulat.bench_fastforward.v1\",\n"
+    os << "{\n  \"schema\": \"gpulat.bench_fastforward.v2\",\n"
        << "  \"bench\": \"clock_domain_ablation\",\n"
        << "  \"workload\": "
        << jsonQuote("pchase footprintBytes=4194304 strideBytes=512 "
@@ -277,14 +277,9 @@ writeFastForwardArtifact(const std::string &path,
         return 0.0;
     };
     const double off_ms = wall("off");
-    const double full_ms = wall("full");
     const double per_ms = wall("perDomain");
-    os << "\"full_vs_off\": " << std::setprecision(2)
-       << (full_ms > 0 ? off_ms / full_ms : 0.0)
-       << ", \"perDomain_vs_off\": "
-       << (per_ms > 0 ? off_ms / per_ms : 0.0)
-       << ", \"perDomain_vs_full\": "
-       << (per_ms > 0 ? full_ms / per_ms : 0.0) << "}\n}\n";
+    os << "\"perDomain_vs_off\": " << std::setprecision(2)
+       << (per_ms > 0 ? off_ms / per_ms : 0.0) << "}\n}\n";
     std::cout << "wrote " << path << "\n";
 }
 
@@ -299,7 +294,7 @@ fastForwardEffect(const std::string &ff_json_path)
               << "   per-domain skip % (core/icnt/l2/dram)\n";
 
     std::vector<ModeSample> samples;
-    for (const char *mode : {"off", "full", "perDomain"}) {
+    for (const char *mode : {"off", "perDomain"}) {
         const ExperimentSpec spec = chaseSpec(
             {std::string("idleFastForward=") + mode}, 2048);
         ModeSample sample;

@@ -79,18 +79,17 @@ parseValue(const std::string &path, const std::string &text, T &dst)
     } else if constexpr (std::is_same_v<T, ClockRatio>) {
         dst = parseClockRatio(text);
     } else if constexpr (std::is_same_v<T, IdleFastForward>) {
-        // Legacy boolean spellings keep pre-enum sweeps working:
-        // "on"/true was the whole-pipeline skip, now called full.
+        // Legacy spellings keep old sweeps working: booleans predate
+        // the enum, and `full` (an all-idle-only skip) gave the same
+        // cycles as perDomain, which replaced it.
         if (text == "off" || text == "0" || text == "false") {
             dst = IdleFastForward::Off;
-        } else if (text == "full" || text == "on" || text == "1" ||
-                   text == "true") {
-            dst = IdleFastForward::Full;
         } else if (text == "perDomain" || text == "perdomain" ||
-                   text == "per-domain") {
+                   text == "per-domain" || text == "full" ||
+                   text == "on" || text == "1" || text == "true") {
             dst = IdleFastForward::PerDomain;
         } else {
-            fatal(path, ": '", text, "' is not off|full|perDomain");
+            fatal(path, ": '", text, "' is not off|perDomain");
         }
     } else if constexpr (std::is_same_v<T, SchedPolicy>) {
         if (text == "lrr") dst = SchedPolicy::LRR;
@@ -100,10 +99,6 @@ parseValue(const std::string &path, const std::string &text, T &dst)
         if (text == "fcfs") dst = DramSchedPolicy::FCFS;
         else if (text == "frfcfs") dst = DramSchedPolicy::FRFCFS;
         else fatal(path, ": '", text, "' is not fcfs|frfcfs");
-    } else if constexpr (std::is_same_v<T, DramModel>) {
-        if (text == "simple") dst = DramModel::Simple;
-        else if (text == "ddr") dst = DramModel::Ddr;
-        else fatal(path, ": '", text, "' is not simple|ddr");
     } else if constexpr (std::is_same_v<T, DramAddrMap>) {
         if (text == "row") dst = DramAddrMap::Row;
         else if (text == "bg") dst = DramAddrMap::BankGroup;
@@ -154,17 +149,12 @@ formatValue(const T &v)
     } else if constexpr (std::is_same_v<T, ClockRatio>) {
         return formatClockRatio(v);
     } else if constexpr (std::is_same_v<T, IdleFastForward>) {
-        switch (v) {
-          case IdleFastForward::Off: return "off";
-          case IdleFastForward::Full: return "full";
-          default: return "perDomain";
-        }
+        return v == IdleFastForward::Off ? "off" : "perDomain";
     } else if constexpr (std::is_same_v<T, SchedPolicy>) {
         return v == SchedPolicy::LRR ? "lrr" : "gto";
     } else if constexpr (std::is_same_v<T, DramSchedPolicy>) {
         return v == DramSchedPolicy::FCFS ? "fcfs" : "frfcfs";
-    } else if constexpr (std::is_same_v<T, DramModel> ||
-                         std::is_same_v<T, DramAddrMap> ||
+    } else if constexpr (std::is_same_v<T, DramAddrMap> ||
                          std::is_same_v<T, DramPagePolicy>) {
         return toString(v);
     } else if constexpr (std::is_same_v<T, WritePolicy>) {
@@ -203,6 +193,34 @@ makeKey(std::string path, const char *type, Ref ref)
     return key;
 }
 
+/**
+ * `mem.dram.model` is shorthand for the eight `mem.dram.t*` keys:
+ * `simple` zeroes them (the calibrated flat timing), `ddr` writes
+ * typical DDR values. Later `mem.dram.t*` assignments still apply.
+ */
+ConfigKey
+dramModelKey()
+{
+    ConfigKey key;
+    key.path = "mem.dram.model";
+    key.type = "simple|ddr (writes the mem.dram.t* keys)";
+    key.set = [](GpuConfig &cfg, const std::string &text) {
+        if (text == "simple")
+            cfg.partition.dram.ddr = DdrTiming{};
+        else if (text == "ddr")
+            cfg.partition.dram.ddr = kDdrTiming;
+        else
+            fatal("mem.dram.model: '", text, "' is not simple|ddr");
+    };
+    key.get = [](const GpuConfig &cfg) -> std::string {
+        const DdrTiming &ddr = cfg.partition.dram.ddr;
+        if (ddr == DdrTiming{})
+            return "simple";
+        return ddr == kDdrTiming ? "ddr" : "custom";
+    };
+    return key;
+}
+
 /** The stringized member expression doubles as the dotted path. */
 #define GPULAT_CFG_KEY(member, type)                                      \
     makeKey(#member, type,                                                \
@@ -218,9 +236,8 @@ buildKeys()
         GPULAT_CFG_KEY(icntClock, "ratio M/D"),
         GPULAT_CFG_KEY(l2Clock, "ratio M/D"),
         GPULAT_CFG_KEY(dramClock, "ratio M/D"),
-        GPULAT_CFG_KEY(idleFastForward, "off|full|perDomain"),
+        GPULAT_CFG_KEY(idleFastForward, "off|perDomain"),
         GPULAT_CFG_KEY(engine.tickJobs, "jobs (0 = hw)"),
-        GPULAT_CFG_KEY(engine.smGroupSize, "SMs/group (0 = fused)"),
         GPULAT_CFG_KEY(engine.watchdogStallSteps, "steps (0 = off)"),
         GPULAT_CFG_KEY(icntLatency, "cycles"),
         GPULAT_CFG_KEY(icntInQueue, "uint"),
@@ -295,10 +312,7 @@ buildKeys()
         // (sweep specs shouldn't depend on which struct holds the
         // knob; starveLimit also aliases the historical
         // partition.dramStarvationLimit spelling).
-        makeKey("mem.dram.model", "simple|ddr",
-                [](GpuConfig &c) -> auto & {
-                    return c.partition.dram.model;
-                }),
+        dramModelKey(),
         makeKey("mem.dram.map", "row|bg|xor",
                 [](GpuConfig &c) -> auto & {
                     return c.partition.dram.map;

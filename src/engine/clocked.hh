@@ -60,22 +60,19 @@ struct ClockRatio
 
 /**
  * Idle fast-forward policy of the TickEngine (see GpuConfig's
- * `idleFastForward` knob; every mode is cycle-exact by
+ * `idleFastForward` knob; both modes are cycle-exact by
  * construction, they differ only in how much simulator work they
  * avoid):
  *  - Off: naive reference — every component ticks on every
  *    scheduled cycle and no promises are ever consulted;
- *  - Full: jump only windows where *every* component is idle (the
- *    pre-PR4 behaviour, e.g. the post-grid drain tail);
  *  - PerDomain: event-scheduled — each component sleeps through to
  *    its own cached next-event promise, so the DRAM domain ticks
  *    through a long bank wait while core/icnt/L2 components sleep,
- *    and vice versa.
+ *    and vice versa; windows where everything sleeps are jumped.
  */
 enum class IdleFastForward
 {
     Off,
-    Full,
     PerDomain,
 };
 

@@ -571,10 +571,8 @@ TickEngine::step()
     // O(changed components) path. Promises reflect all deliveries
     // at query time (see Clocked), so a quiet consumer re-queried
     // after a producer's no-op tick keeps its old event and stays
-    // asleep: wake waves die out instead of cascading. Only the
-    // per-domain mode caches: Off never consults promises, and
-    // Full re-queries everything fresh on each fastForward() call
-    // (it has no wake edges to keep a cache honest with).
+    // asleep: wake waves die out instead of cascading. Off never
+    // consults promises, so it keeps no cache.
     if (selective) {
         for (auto &reg : order_) {
             if (!reg.refreshDue)
@@ -592,18 +590,12 @@ TickEngine::fastForward()
     if (mode_ == IdleFastForward::Off)
         return 0;
 
-    const bool selective = mode_ == IdleFastForward::PerDomain;
     Cycle target = kNoCycle;
     for (const auto &reg : order_) {
-        // PerDomain trusts the event cache (wake edges keep it
-        // honest; a component without a fresh post-tick promise is
-        // assumed active at its next scheduled tick). Full has no
-        // edges, so it must re-query every component fresh.
-        Cycle event;
-        if (selective)
-            event = reg.cacheValid ? reg.cachedEvent : now_;
-        else
-            event = reg.component->nextEventAt(now_);
+        // Trust the event cache (wake edges keep it honest); a
+        // component without a fresh post-tick promise is assumed
+        // active at its next scheduled tick.
+        Cycle event = reg.cacheValid ? reg.cachedEvent : now_;
         if (event == kNoCycle)
             continue;
         event = std::max(event, now_);

@@ -31,13 +31,12 @@
  *
  * Modes (IdleFastForward):
  *  - Off: tick everything, never consult promises (naive reference);
- *  - Full: tick everything each visited cycle, jump only windows
- *    where every component is idle;
- *  - PerDomain: also let individual components sleep through
+ *  - PerDomain (default): let individual components sleep through
  *    cycles the engine visits for some other domain's event, so a
  *    long DRAM bank wait no longer drags the core/icnt/L2
  *    components through per-cycle no-op ticks (and core drain
- *    tails no longer tick DRAM refresh state cycle by cycle).
+ *    tails no longer tick DRAM refresh state cycle by cycle), and
+ *    jump windows where every component sleeps.
  *
  * Tick groups (intra-simulation parallelism): every component is
  * assigned to a tick group at add() time; group 0 is the
@@ -126,7 +125,7 @@ class TickEngine
      * deliver input to @p consumer (push a packet, dispatch a
      * block), invalidating the consumer's cached promise. Both
      * must already be add()ed. PerDomain mode is only cycle-exact
-     * when every delivery path is declared; Off/Full ignore edges.
+     * when every delivery path is declared; Off ignores edges.
      * An edge between two different non-zero tick groups demotes
      * both endpoints to the coordinator group (they interact, so
      * they must not tick concurrently).
@@ -141,12 +140,11 @@ class TickEngine
      * whose ticks touch cross-SM shared state (atomics, data-
      * dependent stores) must serialize. Tick *counting* stays with
      * the declared group, so `engine.group.*.ticks_run` counters
-     * are identical for every tickJobs value and both scheduling
-     * shapes.
+     * are identical for every tickJobs value and every verdict.
      */
     void setSerialized(Clocked &component, bool serialized);
 
-    /** Select the fast-forward policy (default Full). */
+    /** Select the fast-forward policy (default PerDomain). */
     void setMode(IdleFastForward mode) { mode_ = mode; }
     IdleFastForward mode() const { return mode_; }
 
@@ -177,7 +175,7 @@ class TickEngine
      * Tick every due component that might do work at now(), then
      * advance one cycle. In PerDomain mode a component whose cached
      * promise says it is dead at now() is skipped (and accounted
-     * lazily); Off/Full tick everything due.
+     * lazily); Off ticks everything due.
      */
     void step();
 
@@ -335,7 +333,7 @@ class TickEngine
     std::vector<unsigned> due_; ///< per-domain scratch for step()
     std::vector<TickGroup> groups_;
 
-    IdleFastForward mode_ = IdleFastForward::Full;
+    IdleFastForward mode_ = IdleFastForward::PerDomain;
 
     std::size_t tickJobs_ = 1;
     /** True once finalizeSchedule() found >= 2 distinct runnable

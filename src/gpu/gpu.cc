@@ -137,28 +137,16 @@ Gpu::Gpu(GpuConfig config)
     // commute with each other and with the SM groups. SM cores
     // append only to per-SM state (their own collector shards,
     // their own request-id pool, per-source crossbar inject
-    // queues), so clusters of engine.smGroupSize SMs get their own
-    // groups — subject to the per-launch kernel safety analysis in
-    // launch(), which serializes SMs whose kernel could race on
-    // device memory (functional execution happens at issue).
-    // smGroupSize == 0 restores the single fused "sm" group. Ports,
-    // crossbars and the dispatcher move packets *between* groups,
-    // so they stay on the coordinator (group 0) and act as ordering
-    // barriers around the parallel batches.
-    const std::size_t cluster = config_.engine.smGroupSize;
-    smGroupOf_.resize(config_.numSms);
-    if (cluster == 0) {
-        const unsigned fused = engine_.addGroup("sm");
-        std::fill(smGroupOf_.begin(), smGroupOf_.end(), fused);
-    } else {
-        unsigned group = 0;
-        for (unsigned s = 0; s < config_.numSms; ++s) {
-            if (s % cluster == 0)
-                group = engine_.addGroup(
-                    "sm" + std::to_string(s / cluster));
-            smGroupOf_[s] = group;
-        }
-    }
+    // queues), so every SM gets its own group "sm<i>" — subject to
+    // the per-launch kernel safety analysis in launch(), which
+    // serializes SMs whose kernel could race on device memory
+    // (functional execution happens at issue). Ports, crossbars and
+    // the dispatcher move packets *between* groups, so they stay on
+    // the coordinator (group 0) and act as ordering barriers around
+    // the parallel batches.
+    std::vector<unsigned> sm_groups;
+    for (unsigned s = 0; s < config_.numSms; ++s)
+        sm_groups.push_back(engine_.addGroup("sm" + std::to_string(s)));
     engine_.add(icnt, reqNet_);
     engine_.add(icnt, respNet_);
     engine_.add(l2, reqEject_);
@@ -175,7 +163,7 @@ Gpu::Gpu(GpuConfig config)
     engine_.add(icnt, respInject_);
     engine_.add(core, respEject_);
     for (unsigned s = 0; s < config_.numSms; ++s)
-        engine_.add(core, *sms_[s], smGroupOf_[s]);
+        engine_.add(core, *sms_[s], sm_groups[s]);
     engine_.add(core, dispatcher_);
 
     // Wake edges: every path a performed tick can deliver input
@@ -320,22 +308,10 @@ Gpu::stallReport(const std::string &kernel_name)
     }
     // Per-tick-group progress: group tick totals are invariant
     // across tickJobs, so a group whose ticks_run froze is stalled
-    // in every schedule. SM groups also aggregate member idle.
+    // in every schedule.
     for (unsigned g = 1; g < engine_.numGroups(); ++g) {
         oss << "  engine.group." << engine_.groupName(g)
-            << ": ticks_run=" << engine_.groupTicksRun(g);
-        std::uint64_t idle = 0;
-        bool any_sm = false;
-        for (unsigned s = 0; s < config_.numSms; ++s) {
-            if (smGroupOf_[s] != g)
-                continue;
-            any_sm = true;
-            idle += stats_.counterValue(
-                "sm" + std::to_string(s) + ".idle_cycles");
-        }
-        if (any_sm)
-            oss << " idle=" << idle;
-        oss << "\n";
+            << ": ticks_run=" << engine_.groupTicksRun(g) << "\n";
     }
     if (!smParallelNote_.empty())
         oss << "  sm-parallel: " << smParallelNote_ << "\n";
@@ -430,32 +406,24 @@ Gpu::launch(const Kernel &kernel, unsigned num_blocks,
         ctx_.localBase = localBase_;
     }
 
-    // Atomics forward their functional RMW to the owning partition
-    // in every mode (not just when SM groups are on): the fused
-    // smGroupSize == 0 shape must produce byte-identical results to
-    // the grouped shapes, so the functional semantics cannot depend
-    // on the grouping.
+    // Atomics forward their functional RMW to the owning partition,
+    // which executes them in a deterministic order whatever the
+    // tick schedule.
     ctx_.forwardAtomics = true;
 
-    // Decide whether this launch may tick SMs concurrently. With
-    // per-cluster SM groups the analysis gates concurrency; an
+    // Decide whether this launch may tick SMs concurrently: an
     // unsafe kernel (data-dependent stores, potentially overlapping
     // cross-block footprints) pins every SM to the coordinator for
     // this launch. Group tick *counters* stay with the declared
     // groups either way, so records are identical across tickJobs
-    // regardless of the verdict. The fused smGroupSize == 0 shape
-    // keeps SMs in registration order within their single group and
-    // needs no gating — but the verdict is still computed so every
-    // ExperimentRecord carries it.
+    // regardless of the verdict.
     verdict_ = analyzeSmParallelSafety(kernel, num_blocks,
                                        threads_per_block, ctx_.params);
     smParallelNote_ = std::string(verdict_.safe ? "parallel ("
                                                 : "serialized (") +
                       verdict_.reason + ")";
-    if (config_.engine.smGroupSize != 0) {
-        for (auto &sm : sms_)
-            engine_.setSerialized(*sm, !verdict_.safe);
-    }
+    for (auto &sm : sms_)
+        engine_.setSerialized(*sm, !verdict_.safe);
 
     dispatcher_.beginGrid(num_blocks);
     for (auto &sm : sms_)
@@ -580,19 +548,17 @@ Gpu::beginPartitionedLaunch(const Kernel &kernel, unsigned num_blocks,
     pl->verdict = analyzeSmParallelSafety(
         kernel, num_blocks, threads_per_block, pl->ctx.params);
     verdict_ = pl->verdict;
-    if (config_.engine.smGroupSize != 0) {
-        bool serial = !pl->verdict.safe;
-        for (const LaunchId other : partActive_)
-            if (launchesMayConflict(pl->verdict,
-                                    partLaunches_[other]->verdict))
-                serial = true;
-        pl->serialized = serial;
-        for (const unsigned s : pl->smIds)
-            engine_.setSerialized(*sms_[s], serial);
-        smParallelNote_ = "launch '" + kernel.name + "' " +
-                          (serial ? "serialized (" : "parallel (") +
-                          pl->verdict.reason + ")";
-    }
+    bool serial = !pl->verdict.safe;
+    for (const LaunchId other : partActive_)
+        if (launchesMayConflict(pl->verdict,
+                                partLaunches_[other]->verdict))
+            serial = true;
+    pl->serialized = serial;
+    for (const unsigned s : pl->smIds)
+        engine_.setSerialized(*sms_[s], serial);
+    smParallelNote_ = "launch '" + kernel.name + "' " +
+                      (serial ? "serialized (" : "parallel (") +
+                      pl->verdict.reason + ")";
 
     for (const unsigned s : pl->smIds)
         sms_[s]->startLaunch(&pl->ctx);
@@ -626,9 +592,8 @@ Gpu::retirePartitionedLaunch(LaunchId id)
                   "retiring an unfinished launch");
     PartLaunch &pl = *partLaunches_[id];
     pl.active = false;
-    if (config_.engine.smGroupSize != 0)
-        for (const unsigned s : pl.smIds)
-            engine_.setSerialized(*sms_[s], false);
+    for (const unsigned s : pl.smIds)
+        engine_.setSerialized(*sms_[s], false);
     partActive_.erase(
         std::find(partActive_.begin(), partActive_.end(), id));
 }

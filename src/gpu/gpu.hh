@@ -211,8 +211,6 @@ class Gpu
     std::vector<std::unique_ptr<PartitionL2Side>> partL2Sides_;
     /** @} */
 
-    /** Declared tick group of each SM core (stall reports). */
-    std::vector<unsigned> smGroupOf_;
     /** Verdict of the current launch's SM-parallel safety analysis
      *  (kernel_analysis.hh); shown in watchdog stall reports. */
     std::string smParallelNote_;

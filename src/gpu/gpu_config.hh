@@ -69,14 +69,13 @@ struct GpuConfig
 
     /**
      * Idle fast-forward policy (cycle-exact by construction in
-     * every mode; see IdleFastForward in engine/clocked.hh):
-     * `Off` ticks naively, `Full` jumps only all-idle windows
-     * (e.g. the drain tail of a launch), `PerDomain` (default)
-     * event-schedules each component independently so a long DRAM
-     * bank wait no longer drags sleeping core/icnt/L2 components
-     * through per-cycle no-op ticks. Dotted override key:
-     * `idleFastForward=off|full|perDomain` (legacy booleans map to
-     * off/full).
+     * both modes; see IdleFastForward in engine/clocked.hh):
+     * `Off` ticks naively, `PerDomain` (default) event-schedules
+     * each component independently so a long DRAM bank wait no
+     * longer drags sleeping core/icnt/L2 components through
+     * per-cycle no-op ticks. Dotted override key:
+     * `idleFastForward=off|perDomain` (the legacy spellings
+     * `full`/`on`/`true`/`1` mean perDomain).
      */
     IdleFastForward idleFastForward = IdleFastForward::PerDomain;
 
@@ -86,10 +85,7 @@ struct GpuConfig
      * simulated cycles, traces or counters, and `engine.tickJobs`
      * is therefore excluded from the overrides an ExperimentRecord
      * reports (the CI determinism gate byte-diffs output across
-     * its values). `engine.smGroupSize` *is* reported: it renames
-     * the `engine.group.sm*` tick counters, so records taken at
-     * different groupings are honestly distinguishable even though
-     * cycles and traces stay identical.
+     * its values).
      */
     struct EngineParams
     {
@@ -101,18 +97,6 @@ struct GpuConfig
          * `engine.tickJobs`; the CLI also accepts `--tick-jobs N`.
          */
         std::size_t tickJobs = 1;
-
-        /**
-         * SMs per tick group: each cluster of this many SM cores
-         * forms one tick group ("sm0", "sm1", ...) that may tick
-         * concurrently with the other clusters and the partition
-         * groups, subject to the per-launch kernel safety analysis
-         * (kernel_analysis.hh). 0 fuses every SM into a single
-         * "sm" group (the pre-per-SM-sharding shape); 1 (default)
-         * gives every SM its own group. Dotted override key
-         * `engine.smGroupSize`.
-         */
-        std::size_t smGroupSize = 1;
 
         /**
          * Launch watchdog: panic with a per-layer stall report

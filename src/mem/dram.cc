@@ -10,17 +10,23 @@ DramChannel::DramChannel(std::string name, const DramParams &params,
                          StatRegistry *stats)
     : name_(std::move(name)), params_(params)
 {
-    GPULAT_ASSERT(params_.banks > 0, "channel needs banks");
-    GPULAT_ASSERT(params_.rowBytes > 0, "rows need a size");
-    GPULAT_ASSERT(params_.ranks > 0, "channel needs >= 1 rank");
-    if (params_.model == DramModel::Ddr) {
-        GPULAT_ASSERT(params_.bankGroups > 0 &&
-                      params_.banks % params_.bankGroups == 0,
-                      "ddr model: bankGroups (", params_.bankGroups,
-                      ") must divide banks (", params_.banks, ")");
-        GPULAT_ASSERT(params_.ddr.tREFI == 0 ||
-                      params_.ddr.tRFC < params_.ddr.tREFI,
-                      "ddr model: tRFC must be shorter than tREFI");
+    if (params_.banks == 0)
+        fatal("partition.dram.banks must be > 0");
+    if (params_.rowBytes == 0)
+        fatal("partition.dram.rowBytes must be > 0");
+    if (params_.ranks == 0)
+        fatal("mem.dram.ranks must be > 0");
+    if (params_.bankGroups == 0 ||
+        params_.banks % params_.bankGroups != 0) {
+        fatal("mem.dram.bankGroups (", params_.bankGroups,
+              ") must divide partition.dram.banks (", params_.banks,
+              ")");
+    }
+    if (params_.ddr.tREFI != 0 &&
+        params_.ddr.tRFC >= params_.ddr.tREFI) {
+        fatal("mem.dram.tRFC (", params_.ddr.tRFC,
+              ") must be shorter than mem.dram.tREFI (",
+              params_.ddr.tREFI, ")");
     }
     banks_.resize(static_cast<std::size_t>(params_.ranks) *
                   params_.banks);
@@ -42,7 +48,7 @@ DramChannel::DramChannel(std::string name, const DramParams &params,
         wrOutcome_[o] =
             &stats->counter(name_ + ".wr_" + kOutcome[o]);
     }
-    if (params_.model == DramModel::Ddr) {
+    if (params_.ddr.tRRDL > 0) {
         for (int o = 0; o < 3; ++o) {
             for (unsigned g = 0; g < params_.bankGroups; ++g) {
                 bgOutcome_[o].push_back(&stats->counter(
@@ -50,6 +56,8 @@ DramChannel::DramChannel(std::string name, const DramParams &params,
                     kOutcome[o]));
             }
         }
+    }
+    if (params_.ddr.tREFI > 0) {
         refreshes_ = &stats->counter(name_ + ".refreshes");
         refreshStall_ =
             &stats->counter(name_ + ".refresh_stall_cycles");
@@ -87,7 +95,7 @@ DramChannel::bankReady(Addr line_addr, Cycle now) const
 {
     // Refresh deliberately does not gate readiness: a request
     // issued into a mid-refresh rank is clamped past the window by
-    // scheduleDdr(), which charges the wait to refresh_stall_cycles
+    // schedule(), which charges the wait to refresh_stall_cycles
     // — blocking it here would hide that wait inside generic queue
     // time (and cost extra scheduler retries).
     return banks_[coordOf(line_addr).flatBank].readyAt <= now;
@@ -121,41 +129,6 @@ DramChannel::classify(const Bank &bank, const DramCoord &c,
     return outcome;
 }
 
-Cycle
-DramChannel::scheduleSimple(const DramCoord &c, bool is_write,
-                            Cycle now)
-{
-    Bank &bank = banks_[c.flatBank];
-    const DramTiming &t = params_.timing;
-
-    const Cycle start = std::max(now, bank.readyAt);
-    Cycle first_data;
-    switch (classify(bank, c, is_write)) {
-      case RowOutcome::Hit:
-        first_data = start + t.tCAS;
-        break;
-      case RowOutcome::Conflict:
-        first_data = start + t.tRP + t.tRCD + t.tCAS;
-        break;
-      default: // Closed
-        first_data = start + t.tRCD + t.tCAS;
-        break;
-    }
-
-    // The burst must win the shared data bus.
-    const Cycle burst_start = std::max(first_data, busFreeAt_);
-    const Cycle done = burst_start + t.tBurst + t.tExtra;
-    busFreeAt_ = burst_start + t.tBurst;
-
-    bank.rowOpen = true;
-    bank.openRow = c.row;
-    // The bank can take its next column command once the burst is
-    // off the sense amps; approximating with the burst end keeps
-    // banks pipelined but serialized per bank.
-    bank.readyAt = burst_start + t.tBurst;
-    return done;
-}
-
 void
 DramChannel::catchUpRefresh(unsigned rank_id, Cycle now)
 {
@@ -181,9 +154,9 @@ DramChannel::catchUpRefresh(unsigned rank_id, Cycle now)
 }
 
 Cycle
-DramChannel::scheduleDdr(const DramCoord &c, bool is_write,
-                         Cycle now)
+DramChannel::schedule(Addr line_addr, bool is_write, Cycle now)
 {
+    const DramCoord c = coordOf(line_addr);
     Bank &bank = banks_[c.flatBank];
     Rank &rank = ranks_[c.rank];
     const DramTiming &t = params_.timing;
@@ -273,20 +246,14 @@ DramChannel::scheduleDdr(const DramCoord &c, bool is_write,
         bank.rowOpen = false;
         bank.readyAt = pre_at + t.tRP;
     } else {
+        // The bank can take its next column command once the burst
+        // is off the sense amps; approximating with the burst end
+        // keeps banks pipelined but serialized per bank.
         bank.rowOpen = true;
         bank.openRow = c.row;
         bank.readyAt = burst_end;
     }
     return done;
-}
-
-Cycle
-DramChannel::schedule(Addr line_addr, bool is_write, Cycle now)
-{
-    const DramCoord c = coordOf(line_addr);
-    return params_.model == DramModel::Ddr
-        ? scheduleDdr(c, is_write, now)
-        : scheduleSimple(c, is_write, now);
 }
 
 void
@@ -295,8 +262,6 @@ DramChannel::reset()
     for (auto &bank : banks_)
         bank = Bank{};
     for (Rank &rank : ranks_) {
-        rank.refreshEpochs = 0;
-        rank.refreshBusyUntil = 0;
         rank.actWindow.clear();
         rank.lastActAt = 0;
         rank.lastActValid = false;

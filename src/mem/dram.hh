@@ -2,26 +2,23 @@
  * @file
  * Banked GDDR/DDR-style DRAM channel timing model.
  *
- * One channel per memory partition, selectable fidelity
- * (`mem.dram.model`):
+ * One channel per memory partition: a per-bank command state
+ * machine (ACT/PRE/RD/WR/REF) with a shared data bus. Beyond the
+ * row outcome (hit: CAS; conflict: PRE + ACT + CAS; closed bank:
+ * ACT + CAS) it honors tRAS (activate -> precharge), tRRD_S/tRRD_L
+ * (activate-to-activate across / within bank groups), tFAW (sliding
+ * four-activate window per rank), tWTR/tRTW read-write bus
+ * turnaround, configurable ranks, open- vs closed-page policy and
+ * periodic refresh (tREFI/tRFC) that blocks the whole rank and
+ * closes its rows. Refresh is applied lazily as a pure function of
+ * the current cycle, so idle fast-forward can never skip over one.
  *
- *  - `simple` (default): the original flat open-row check — the
- *    service time of a request depends only on whether it hits the
- *    open row (CAS + burst), conflicts with another row
- *    (precharge + activate + CAS + burst) or targets a closed bank
- *    (activate + CAS + burst), with a shared data bus serializing
- *    bursts. Calibrated against the paper's Table I; bit-identical
- *    to the seed goldens.
- *
- *  - `ddr`: a per-bank command state machine (ACT/PRE/RD/WR/REF)
- *    that additionally honors tRAS (activate -> precharge),
- *    tRRD_S/tRRD_L (activate-to-activate across / within bank
- *    groups), tFAW (sliding four-activate window per rank),
- *    tWTR/tRTW read-write bus turnaround, configurable ranks,
- *    open- vs closed-page policy and periodic refresh (tREFI/tRFC)
- *    that blocks the whole rank and closes its rows. Refresh is
- *    applied lazily as a pure function of the current cycle, so
- *    idle fast-forward (any mode) can never skip over one.
+ * With every DdrTiming field at 0 (the default, `mem.dram.model=
+ * simple`) the machine reduces exactly to the flat open-row check
+ * calibrated against the paper's Table I: tREFI = 0 schedules no
+ * refresh, and a zero spacing constraint can delay an activate only
+ * to the rank's previous activate, whose data is already behind the
+ * bus serialization the flat check applies anyway.
  *
  * All parameters are in DRAM-domain ("hot" at 1:1) clock cycles,
  * like every latency the paper reports.
@@ -41,7 +38,7 @@
 
 namespace gpulat {
 
-/** DRAM timing parameters shared by both models (core cycles). */
+/** Row-outcome timing parameters (core cycles). */
 struct DramTiming
 {
     Cycle tRCD = 40;  ///< activate -> column command
@@ -54,29 +51,43 @@ struct DramTiming
     Cycle tExtra = 0;
 };
 
-/** Extra timing constraints only the `ddr` model enforces. */
+/**
+ * Constraints on top of the row-outcome timing. The all-zero default
+ * is the calibrated flat timing (`mem.dram.model=simple`); kDdrTiming
+ * holds typical DDR values (`mem.dram.model=ddr`).
+ */
 struct DdrTiming
 {
-    Cycle tRAS = 68;    ///< activate -> precharge (row open minimum)
-    Cycle tRRDS = 8;    ///< activate -> activate, other bank group
-    Cycle tRRDL = 12;   ///< activate -> activate, same bank group
-    Cycle tFAW = 40;    ///< window holding at most four activates
-    Cycle tWTR = 16;    ///< write burst end -> read burst start
-    Cycle tRTW = 12;    ///< read burst end -> write burst start
-    Cycle tREFI = 3900; ///< refresh command interval (per rank)
-    Cycle tRFC = 260;   ///< refresh cycle time (rank blocked)
+    Cycle tRAS = 0;  ///< activate -> precharge (row open minimum)
+    Cycle tRRDS = 0; ///< activate -> activate, other bank group
+    Cycle tRRDL = 0; ///< activate -> activate, same bank group
+    Cycle tFAW = 0;  ///< window holding at most four activates
+    Cycle tWTR = 0;  ///< write burst end -> read burst start
+    Cycle tRTW = 0;  ///< read burst end -> write burst start
+    Cycle tREFI = 0; ///< refresh command interval per rank (0 = none)
+    Cycle tRFC = 0;  ///< refresh cycle time (rank blocked)
+
+    bool operator==(const DdrTiming &) const = default;
 };
+
+inline constexpr DdrTiming kDdrTiming{.tRAS = 68,
+                                      .tRRDS = 8,
+                                      .tRRDL = 12,
+                                      .tFAW = 40,
+                                      .tWTR = 16,
+                                      .tRTW = 12,
+                                      .tREFI = 3900,
+                                      .tRFC = 260};
 
 /** Geometry + policy of one DRAM channel. */
 struct DramParams
 {
-    DramModel model = DramModel::Simple;
     DramAddrMap map = DramAddrMap::Row;
     DramPagePolicy page = DramPagePolicy::Open;
     DramTiming timing;
     DdrTiming ddr;
     unsigned banks = 8;      ///< banks per rank
-    unsigned bankGroups = 4; ///< bank groups per rank (ddr model)
+    unsigned bankGroups = 4; ///< bank groups per rank
     unsigned ranks = 1;      ///< ranks sharing the channel bus
     /** Bytes per row per bank (row-buffer locality granularity). */
     std::uint64_t rowBytes = 2048;
@@ -124,10 +135,12 @@ class DramChannel
 
     const DramParams &params() const { return params_; }
 
-    /** Refresh stall cycles charged so far (ddr model). */
+    /** Refresh stall cycles charged so far. */
     std::uint64_t refreshStallCycles() const;
 
-    /** Drop open rows / busy state (between experiments). */
+    /** Drop open rows / busy state (between experiments). Refresh
+     *  epochs are a function of the absolute cycle, which keeps
+     *  running, so the refresh state survives. */
     void reset();
 
   private:
@@ -140,7 +153,7 @@ class DramChannel
         bool actValid = false;
     };
 
-    /** Per-rank ddr bookkeeping (refresh + activate windows). */
+    /** Per-rank bookkeeping (refresh + activate windows). */
     struct Rank
     {
         /** Refresh epochs already applied (rows closed, stall
@@ -157,10 +170,6 @@ class DramChannel
         std::vector<Cycle> groupActAt;
         std::vector<bool> groupActValid;
     };
-
-    Cycle scheduleSimple(const DramCoord &c, bool is_write,
-                         Cycle now);
-    Cycle scheduleDdr(const DramCoord &c, bool is_write, Cycle now);
 
     /** Apply all refresh epochs that started by @p now to @p rank:
      *  close its rows and extend its busy window. */
@@ -185,13 +194,13 @@ class DramChannel
     Counter *rowHits_;
     Counter *rowMisses_;
     Counter *rowClosed_;
-    /** Read/write split of the same three outcomes (satellite of
-     *  the fidelity refactor: the simple model counts them too, so
-     *  the ddr model's turnaround stats have a baseline). */
+    /** Read/write split of the same three outcomes. */
     Counter *rdOutcome_[3];
     Counter *wrOutcome_[3];
-    /** Per-bank-group outcome counters (ddr model only). */
+    /** Per-bank-group outcome counters (only with tRRDL > 0, the
+     *  timing that tells bank groups apart). */
     std::vector<Counter *> bgOutcome_[3];
+    /** Refresh counters (only with tREFI > 0). */
     Counter *refreshes_ = nullptr;
     Counter *refreshStall_ = nullptr;
 };

@@ -5,16 +5,6 @@
 namespace gpulat {
 
 const char *
-toString(DramModel model)
-{
-    switch (model) {
-      case DramModel::Simple: return "simple";
-      case DramModel::Ddr: return "ddr";
-    }
-    return "?";
-}
-
-const char *
 toString(DramAddrMap map)
 {
     switch (map) {

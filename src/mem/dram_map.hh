@@ -8,8 +8,7 @@
  * (tRRD_S across bank groups vs the slower tRRD_L inside one) it
  * pays — making the map a first-class ablation axis for the
  * paper-style latency breakdown. The `Row` map reproduces the
- * original flat model's bankOf()/rowOf() arithmetic bit-for-bit,
- * so `mem.dram.model=simple` timings are untouched by this layer.
+ * original flat model's bankOf()/rowOf() arithmetic bit-for-bit.
  */
 
 #ifndef GPULAT_MEM_DRAM_MAP_HH
@@ -21,12 +20,6 @@
 
 namespace gpulat {
 
-/** Which DRAM timing model the channel runs. */
-enum class DramModel : std::uint8_t {
-    Simple, ///< flat open-row check (the original calibrated model)
-    Ddr,    ///< per-bank command FSM: tRAS/tRRD/tFAW/refresh/...
-};
-
 /** Line address -> bank placement policy. */
 enum class DramAddrMap : std::uint8_t {
     Row,       ///< row-interleave: consecutive rows walk banks of
@@ -37,13 +30,12 @@ enum class DramAddrMap : std::uint8_t {
                ///< the row, breaking power-of-two stride conflicts
 };
 
-/** Row-buffer management after a column access (ddr model only). */
+/** Row-buffer management after a column access. */
 enum class DramPagePolicy : std::uint8_t {
     Open,   ///< leave the row open (bet on locality)
     Closed, ///< auto-precharge after every access
 };
 
-const char *toString(DramModel model);
 const char *toString(DramAddrMap map);
 const char *toString(DramPagePolicy page);
 

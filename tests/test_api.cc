@@ -92,21 +92,21 @@ TEST(ConfigOverride, IdleFastForwardForms)
 {
     GpuConfig cfg = makeConfig("gf106");
     EXPECT_EQ(cfg.idleFastForward, IdleFastForward::PerDomain);
-    applyOverride(cfg, "idleFastForward=full");
-    EXPECT_EQ(cfg.idleFastForward, IdleFastForward::Full);
+    applyOverride(cfg, "idleFastForward=off");
+    EXPECT_EQ(readOverride(cfg, "idleFastForward"), "off");
     applyOverride(cfg, "idleFastForward=perDomain");
     EXPECT_EQ(cfg.idleFastForward, IdleFastForward::PerDomain);
     EXPECT_EQ(readOverride(cfg, "idleFastForward"), "perDomain");
-    applyOverride(cfg, "idleFastForward=off");
-    EXPECT_EQ(readOverride(cfg, "idleFastForward"), "off");
 
-    // Legacy boolean spellings: "on"/true was the whole-pipeline
-    // skip, which is now called full.
-    for (const char *legacy_on : {"on", "true", "1"}) {
+    // Legacy spellings: the booleans and `full` (the removed
+    // all-idle-only skip, same cycles) all mean perDomain.
+    for (const char *legacy_on : {"full", "on", "true", "1"}) {
+        applyOverride(cfg, "idleFastForward=off");
         applyOverride(cfg, std::string("idleFastForward=") +
                                legacy_on);
-        EXPECT_EQ(cfg.idleFastForward, IdleFastForward::Full)
+        EXPECT_EQ(cfg.idleFastForward, IdleFastForward::PerDomain)
             << legacy_on;
+        EXPECT_EQ(readOverride(cfg, "idleFastForward"), "perDomain");
     }
     for (const char *legacy_off : {"false", "0"}) {
         applyOverride(cfg, std::string("idleFastForward=") +
@@ -115,6 +115,25 @@ TEST(ConfigOverride, IdleFastForwardForms)
             << legacy_off;
     }
     EXPECT_THROW(applyOverride(cfg, "idleFastForward=perCore"),
+                 FatalError);
+}
+
+TEST(ConfigOverride, ModelKeyWritesTheDramTimingKeys)
+{
+    GpuConfig cfg = makeConfig("gf106");
+    EXPECT_EQ(readOverride(cfg, "mem.dram.model"), "simple");
+    EXPECT_EQ(readOverride(cfg, "mem.dram.tREFI"), "0");
+    applyOverride(cfg, "mem.dram.model=ddr");
+    EXPECT_TRUE(cfg.partition.dram.ddr == kDdrTiming);
+    EXPECT_EQ(readOverride(cfg, "mem.dram.model"), "ddr");
+    // A later t* assignment still applies on top of the shorthand...
+    applyOverride(cfg, "mem.dram.tREFI=2000");
+    EXPECT_EQ(cfg.partition.dram.ddr.tREFI, 2000u);
+    EXPECT_EQ(readOverride(cfg, "mem.dram.model"), "custom");
+    // ...and `simple` zeroes all eight again.
+    applyOverride(cfg, "mem.dram.model=simple");
+    EXPECT_TRUE(cfg.partition.dram.ddr == DdrTiming{});
+    EXPECT_THROW(applyOverride(cfg, "mem.dram.model=custom"),
                  FatalError);
 }
 
@@ -195,8 +214,8 @@ TEST(Experiment, TickJobsIsSurfacedButNotSerialized)
     EXPECT_EQ(a.overrides, b.overrides);
     EXPECT_EQ(a.cycles, b.cycles);
 
-    // Per-group tick counters ride along and are identical. The
-    // default smGroupSize of 1 names one group per SM core.
+    // Per-group tick counters ride along and are identical; every
+    // SM core has its own group.
     EXPECT_GT(b.counters.at("engine.group.sm0.ticks_run"), 0u);
     EXPECT_EQ(a.counters.at("engine.group.part0.ticks_run"),
               b.counters.at("engine.group.part0.ticks_run"));

@@ -4,8 +4,13 @@
  * FCFS / FR-FCFS schedulers.
  */
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "common/random.hh"
 #include "mem/dram.hh"
 #include "mem/dram_sched.hh"
@@ -269,7 +274,6 @@ DramParams
 ddrParams()
 {
     DramParams p = testParams();
-    p.model = DramModel::Ddr;
     p.bankGroups = 2;
     p.ddr.tRAS = 50;
     p.ddr.tRRDS = 6;
@@ -405,8 +409,26 @@ TEST(DramDdr, ResetClearsDdrState)
     ch.schedule(1024, true, 10);
     ch.reset();
     // A cold access after reset pays exactly the cold-start cost:
-    // no leftover bus, turnaround, tRRD or refresh state.
+    // no leftover bus, turnaround or tRRD state.
     EXPECT_EQ(ch.schedule(2 * 1024, false, 0), 0u + 20 + 10 + 4);
+}
+
+TEST(DramDdr, ResetKeepsRefreshEpochs)
+{
+    // Refresh epochs are a function of the absolute cycle, which
+    // reset() does not rewind: no epoch starts in [3500, 3600], so
+    // the access at 3600 must not count any refresh again.
+    StatRegistry stats;
+    DramChannel ch("d", ddrParams(), &stats);
+    ch.schedule(0, false, 0);
+    ch.schedule(0, false, 3500);
+    EXPECT_EQ(stats.counterValue("d.refreshes"), 3u);
+    ch.reset();
+    ch.schedule(0, false, 3600);
+    EXPECT_EQ(stats.counterValue("d.refreshes"), 3u);
+    // The next epoch still counts once.
+    ch.schedule(0, false, 4000);
+    EXPECT_EQ(stats.counterValue("d.refreshes"), 4u);
 }
 
 TEST(DramDdr, CompletionsMonotonicUnderRandomTraffic)
@@ -426,6 +448,199 @@ TEST(DramDdr, CompletionsMonotonicUnderRandomTraffic)
         prev = done;
         now += rng.below(50);
     }
+}
+
+// ---------------------------------------------------------------
+// The `simple` timing is the state machine with every DdrTiming
+// field at 0. FlatReference is the flat open-row check it replaced:
+// the row outcome alone sets the latency, plus the shared data bus.
+
+struct FlatReference
+{
+    struct Bank
+    {
+        bool open = false;
+        std::uint64_t row = 0;
+        Cycle readyAt = 0;
+    };
+
+    Cycle
+    schedule(unsigned bank, std::uint64_t row, Cycle now)
+    {
+        Bank &b = banks[bank];
+        const Cycle start = std::max(now, b.readyAt);
+        Cycle first_data = start + t.tRCD + t.tCAS;
+        if (b.open && b.row == row) {
+            first_data = start + t.tCAS;
+            ++hits;
+        } else if (b.open) {
+            first_data += t.tRP;
+            ++conflicts;
+        } else {
+            ++closed;
+        }
+        busFreeAt = std::max(first_data, busFreeAt) + t.tBurst;
+        b = Bank{true, row, busFreeAt};
+        return busFreeAt + t.tExtra;
+    }
+
+    DramTiming t;
+    std::vector<Bank> banks;
+    Cycle busFreeAt = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t conflicts = 0;
+    std::uint64_t closed = 0;
+};
+
+/** Drives a channel and the reference with the same accesses. */
+struct FoldHarness
+{
+    explicit FoldHarness(const DramParams &p)
+        : params(p), ch("d", p, &stats)
+    {
+        ref.t = p.timing;
+        ref.banks.resize(static_cast<std::size_t>(p.ranks) * p.banks);
+    }
+
+    /** Issue (bank, row) at @p now to both; true when they agree
+     *  on the completion cycle and every row outcome so far. */
+    ::testing::AssertionResult
+    access(unsigned bank, std::uint64_t row, bool is_write, Cycle now)
+    {
+        const std::uint64_t total = ref.banks.size();
+        const Addr line = (row * total + bank) * params.rowBytes;
+        const Cycle got = ch.schedule(line, is_write, now);
+        const Cycle want = ref.schedule(bank, row, now);
+        if (got != want ||
+            stats.counterValue("d.row_hits") != ref.hits ||
+            stats.counterValue("d.row_misses") != ref.conflicts ||
+            stats.counterValue("d.row_closed") != ref.closed) {
+            return ::testing::AssertionFailure()
+                << "bank " << bank << " row " << row << " at " << now
+                << ": done " << got << " vs flat " << want;
+        }
+        return ::testing::AssertionSuccess();
+    }
+
+    DramParams params;
+    StatRegistry stats;
+    DramChannel ch;
+    FlatReference ref;
+};
+
+DramParams
+simpleParams(unsigned ranks)
+{
+    DramParams p = testParams();
+    p.ranks = ranks;
+    p.timing.tExtra = 7;
+    return p;
+}
+
+TEST(DramSimpleFold, ZeroSpacingClampMatchesFlatCheck)
+{
+    // A conflict on bank 0 activates at 34 + tRP = 49. Bank 1's
+    // first access arrives at 35, inside that tRP window: its
+    // activate is clamped from 35 to 49, but its data still waits
+    // for the bus bank 0's burst holds until 83.
+    FoldHarness h(simpleParams(1));
+    EXPECT_TRUE(h.access(0, 0, false, 0));
+    EXPECT_TRUE(h.access(0, 1, false, 34));
+    EXPECT_TRUE(h.access(1, 0, false, 35));
+    EXPECT_EQ(h.ref.busFreeAt, 87u);
+}
+
+TEST(DramSimpleFold, RandomStreamsMatchFlatCheck)
+{
+    for (const unsigned ranks : {1u, 2u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            FoldHarness h(simpleParams(ranks));
+            Rng rng(seed);
+            const unsigned total = ranks * h.params.banks;
+            Cycle now = 0;
+            for (int i = 0; i < 3000; ++i) {
+                // Few rows per bank and gaps up to 2*tRP: hits,
+                // conflicts and activates inside another bank's
+                // precharge window all occur often.
+                const auto bank =
+                    static_cast<unsigned>(rng.below(total));
+                ASSERT_TRUE(h.access(bank, rng.below(3),
+                                     rng.below(2) != 0, now))
+                    << "ranks " << ranks << " seed " << seed
+                    << " access " << i;
+                now += rng.below(2 * h.params.timing.tRP);
+            }
+            EXPECT_GT(h.ref.hits, 0u);
+            EXPECT_GT(h.ref.conflicts, 0u);
+        }
+    }
+}
+
+TEST(DramChannel, BadShapeAndRefreshInputAreNamedErrors)
+{
+    auto message = [](const DramParams &p) -> std::string {
+        StatRegistry stats;
+        try {
+            DramChannel ch("d", p, &stats);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    DramParams p = testParams();
+    p.bankGroups = 3;
+    EXPECT_NE(message(p).find("mem.dram.bankGroups (3) must divide "
+                              "partition.dram.banks (4)"),
+              std::string::npos)
+        << message(p);
+    p.bankGroups = 0;
+    EXPECT_NE(message(p).find("mem.dram.bankGroups"), std::string::npos);
+
+    p = testParams();
+    p.ranks = 0;
+    EXPECT_NE(message(p).find("mem.dram.ranks"), std::string::npos);
+    p = testParams();
+    p.banks = 0;
+    EXPECT_NE(message(p).find("partition.dram.banks"),
+              std::string::npos);
+    p = testParams();
+    p.rowBytes = 0;
+    EXPECT_NE(message(p).find("partition.dram.rowBytes"),
+              std::string::npos);
+
+    // tRFC must fit inside tREFI whenever refresh is on...
+    p = testParams();
+    p.ddr.tREFI = 100;
+    p.ddr.tRFC = 100;
+    EXPECT_NE(message(p).find("mem.dram.tRFC (100) must be shorter "
+                              "than mem.dram.tREFI (100)"),
+              std::string::npos)
+        << message(p);
+    // ...and is unconstrained without refresh.
+    p.ddr.tREFI = 0;
+    EXPECT_EQ(message(p), "no error");
+}
+
+TEST(DramChannel, CountersFollowTheTimingTheyCount)
+{
+    // Per-bank-group outcomes need tRRD_L and refresh counters need
+    // tREFI; the simple timing (all zero) registers neither.
+    auto has = [](const DramParams &p, const char *name) {
+        StatRegistry stats;
+        DramChannel ch("d", p, &stats);
+        return stats.counters().count(name) != 0;
+    };
+    DramParams p = testParams();
+    EXPECT_FALSE(has(p, "d.bg0.row_hits"));
+    EXPECT_FALSE(has(p, "d.refreshes"));
+    p.ddr.tRRDL = 12;
+    EXPECT_TRUE(has(p, "d.bg0.row_hits"));
+    EXPECT_FALSE(has(p, "d.refreshes"));
+    p = testParams();
+    p.ddr.tREFI = 1000;
+    EXPECT_TRUE(has(p, "d.refreshes"));
+    EXPECT_TRUE(has(p, "d.refresh_stall_cycles"));
+    EXPECT_FALSE(has(p, "d.bg0.row_hits"));
 }
 
 // ---------------------------------------------------------------

@@ -1,10 +1,10 @@
 /**
  * @file
- * Whole-GPU tests for the memory-fidelity axes: the ddr DRAM model
+ * Whole-GPU tests for the memory-fidelity axes: the ddr DRAM timing
  * must be deterministic across engine execution knobs (fast-forward
- * modes, tick jobs, SM grouping), the default simple model must be
- * unaffected by the new knobs' defaults, and the new counters must
- * actually move under load.
+ * modes, tick jobs), the default simple timing must be unaffected by
+ * the new knobs' defaults, and the new counters must actually move
+ * under load.
  */
 
 #include <string>
@@ -65,7 +65,7 @@ expectSameOutcome(const ExperimentRecord &a, const ExperimentRecord &b,
 TEST(DramFidelity, DdrIdenticalAcrossFastForwardModes)
 {
     std::vector<ExperimentRecord> recs;
-    for (const char *mode : {"off", "full", "perDomain"}) {
+    for (const char *mode : {"off", "perDomain"}) {
         auto ov = ddrOverrides();
         ov.push_back(std::string("idleFastForward=") + mode);
         recs.push_back(runExperiment(baseSpec(std::move(ov))));
@@ -73,22 +73,18 @@ TEST(DramFidelity, DdrIdenticalAcrossFastForwardModes)
     // Refresh must actually fire in the window this test covers,
     // otherwise fast-forward correctness is vacuous here.
     EXPECT_GT(recs[0].counters.at("dram.refreshes"), 0u);
-    expectSameOutcome(recs[0], recs[1], "off vs full");
-    expectSameOutcome(recs[0], recs[2], "off vs perDomain");
+    expectSameOutcome(recs[0], recs[1], "off vs perDomain");
 }
 
-TEST(DramFidelity, DdrIdenticalAcrossTickJobsAndGrouping)
+TEST(DramFidelity, DdrIdenticalAcrossTickJobs)
 {
     std::vector<ExperimentRecord> recs;
-    for (const char *knob :
-         {"engine.tickJobs=1", "engine.tickJobs=4",
-          "engine.smGroupSize=1"}) {
+    for (const char *knob : {"engine.tickJobs=1", "engine.tickJobs=4"}) {
         auto ov = ddrOverrides();
         ov.push_back(knob);
         recs.push_back(runExperiment(baseSpec(std::move(ov))));
     }
     expectSameOutcome(recs[0], recs[1], "tickJobs 1 vs 4");
-    expectSameOutcome(recs[0], recs[2], "fused vs per-SM groups");
 }
 
 TEST(DramFidelity, SimpleModelUntouchedByNewKnobDefaults)
@@ -105,6 +101,20 @@ TEST(DramFidelity, SimpleModelUntouchedByNewKnobDefaults)
                   base.counters.at("dram.wr_row_hits"),
               base.counters.at("dram.row_hits"));
     EXPECT_EQ(base.metrics.at("dram_refresh_stall_cycles"), 0.0);
+}
+
+TEST(DramFidelity, SimpleTimingHonorsPagePolicyAndTimingKeys)
+{
+    // Under `simple`, the page policy and the mem.dram.t* keys used
+    // to be ignored; they now apply on every config.
+    const ExperimentRecord base = runExperiment(baseSpec({}));
+    EXPECT_GT(base.counters.at("dram.row_hits"), 0u);
+    const ExperimentRecord closed =
+        runExperiment(baseSpec({"mem.dram.pagePolicy=closed"}));
+    EXPECT_EQ(closed.counters.at("dram.row_hits"), 0u);
+    const ExperimentRecord refresh = runExperiment(
+        baseSpec({"mem.dram.tREFI=2000", "mem.dram.tRFC=200"}));
+    EXPECT_GT(refresh.counters.at("dram.refreshes"), 0u);
 }
 
 TEST(DramFidelity, DdrRefreshAndConflictsMoveTheBreakdown)

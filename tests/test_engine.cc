@@ -441,15 +441,6 @@ TEST(TickEngine, FastForwardOnDrainedEngineReturnsZero)
     EXPECT_EQ(engine.fastForward(), 0u);
     EXPECT_EQ(engine.now(), before);
     EXPECT_EQ(engine.skippedCycles(), 0u);
-
-    // Same in Full mode, which re-queries promises fresh.
-    TickEngine full;
-    full.setMode(IdleFastForward::Full);
-    ClockDomain &fcore = full.addDomain("core", ClockRatio{1, 1});
-    PokeTarget drained_c;
-    full.add(fcore, drained_c);
-    full.step();
-    EXPECT_EQ(full.fastForward(), 0u);
 }
 
 TEST(TickEngine, FastForwardSaturatesOverflowingPromises)
@@ -721,42 +712,6 @@ expectIdenticalRuns(const RunCapture &a, const RunCapture &b)
     EXPECT_EQ(a.counters, b.counters);
 }
 
-TEST(Engine, FastForwardIsCycleExactOnVecAdd)
-{
-    VecAdd::Options o;
-    o.n = 1 << 12;
-    VecAdd wl_ff(o);
-    VecAdd wl_naive(o);
-
-    GpuConfig on = smallGF106();
-    on.idleFastForward = IdleFastForward::Full;
-    GpuConfig off = smallGF106();
-    off.idleFastForward = IdleFastForward::Off;
-
-    const RunCapture ff = runWorkload(wl_ff, on);
-    const RunCapture naive = runWorkload(wl_naive, off);
-
-    EXPECT_TRUE(ff.correct);
-    EXPECT_TRUE(naive.correct);
-    EXPECT_EQ(ff.cycles, naive.cycles);
-    EXPECT_EQ(ff.instructions, naive.instructions);
-    EXPECT_EQ(ff.idleCycles, naive.idleCycles);
-    expectIdenticalTraces(ff.traces, naive.traces);
-    ASSERT_EQ(ff.exposure.size(), naive.exposure.size());
-    for (std::size_t i = 0; i < ff.exposure.size(); ++i) {
-        EXPECT_EQ(ff.exposure[i].total, naive.exposure[i].total) << i;
-        EXPECT_EQ(ff.exposure[i].exposed, naive.exposure[i].exposed)
-            << i;
-    }
-
-    // Fast-forward actually skipped work: fewer loop steps, and
-    // steps + skipped add up to the simulated timeline.
-    EXPECT_GT(ff.skipped, 0u);
-    EXPECT_LT(ff.steps, naive.steps);
-    EXPECT_EQ(ff.steps + ff.skipped, ff.endCycle);
-    EXPECT_EQ(naive.skipped, 0u);
-}
-
 TEST(Engine, FastForwardIsCycleExactOnBfs)
 {
     Bfs::Options o;
@@ -767,7 +722,7 @@ TEST(Engine, FastForwardIsCycleExactOnBfs)
     Bfs wl_naive(o);
 
     GpuConfig on = smallGF106();
-    on.idleFastForward = IdleFastForward::Full;
+    on.idleFastForward = IdleFastForward::PerDomain;
     GpuConfig off = smallGF106();
     off.idleFastForward = IdleFastForward::Off;
 
@@ -849,7 +804,7 @@ TEST(Engine, SeedRegressionVecAddGK104)
     EXPECT_EQ(bd.totalByStage, expected);
 }
 
-// ----------------------------------- three-mode equivalence goldens
+// ------------------------------------- off-vs-perDomain goldens
 
 /** Run one fresh workload instance under a given policy. */
 template <typename WorkloadT, typename Options>
@@ -861,21 +816,25 @@ runMode(const Options &options, GpuConfig cfg, IdleFastForward mode)
     return runWorkload(wl, std::move(cfg));
 }
 
-TEST(Engine, PerDomainMatchesFullAndOffOnVecAdd)
+TEST(Engine, PerDomainMatchesOffOnVecAdd)
 {
     VecAdd::Options o;
     o.n = 1 << 12;
     const RunCapture off = runMode<VecAdd>(o, smallGF106(),
                                            IdleFastForward::Off);
-    const RunCapture full = runMode<VecAdd>(o, smallGF106(),
-                                            IdleFastForward::Full);
     const RunCapture per = runMode<VecAdd>(
         o, smallGF106(), IdleFastForward::PerDomain);
 
-    expectIdenticalRuns(off, full);
     expectIdenticalRuns(off, per);
     EXPECT_EQ(off.compSkipped, 0u);
-    EXPECT_GT(per.compSkipped, full.compSkipped);
+    EXPECT_GT(per.compSkipped, 0u);
+
+    // Fast-forward actually skipped work: fewer loop steps, and
+    // steps + skipped add up to the simulated timeline.
+    EXPECT_GT(per.skipped, 0u);
+    EXPECT_LT(per.steps, off.steps);
+    EXPECT_EQ(per.steps + per.skipped, per.endCycle);
+    EXPECT_EQ(off.skipped, 0u);
 }
 
 TEST(Engine, PerDomainMatchesUnderNonUnityRatios)
@@ -892,34 +851,27 @@ TEST(Engine, PerDomainMatchesUnderNonUnityRatios)
     o.scale = 9;
     o.degree = 8;
     const RunCapture off = runMode<Bfs>(o, cfg, IdleFastForward::Off);
-    const RunCapture full =
-        runMode<Bfs>(o, cfg, IdleFastForward::Full);
     const RunCapture per =
         runMode<Bfs>(o, cfg, IdleFastForward::PerDomain);
 
-    expectIdenticalRuns(off, full);
     expectIdenticalRuns(off, per);
-    EXPECT_GT(per.compSkipped, full.compSkipped);
+    EXPECT_GT(per.compSkipped, 0u);
 }
 
-TEST(Engine, PerDomainMatchesOnPchaseLadderAndSkipsMore)
+TEST(Engine, PerDomainMatchesOffOnPchaseLadder)
 {
     // The Table-I style idle-latency ladder: one footprint per
     // cache level. Latency-bound single-warp chases are where
     // per-domain skipping must shine — every level must be
-    // cycle/counter-identical across modes, and the per-domain
-    // stepper must provably skip more component ticks than the
-    // all-idle-only policy.
-    std::uint64_t full_skipped = 0;
-    std::uint64_t per_skipped = 0;
+    // cycle-identical to the naive reference while skipping
+    // component ticks.
     for (const std::uint64_t footprint :
          {std::uint64_t{16} * 1024, std::uint64_t{256} * 1024,
           std::uint64_t{4} * 1024 * 1024}) {
         std::map<IdleFastForward, Cycle> cycles;
         std::map<IdleFastForward, std::uint64_t> skipped;
         for (const IdleFastForward mode :
-             {IdleFastForward::Off, IdleFastForward::Full,
-              IdleFastForward::PerDomain}) {
+             {IdleFastForward::Off, IdleFastForward::PerDomain}) {
             GpuConfig cfg = smallGF106();
             cfg.idleFastForward = mode;
             Gpu gpu(std::move(cfg));
@@ -933,18 +885,12 @@ TEST(Engine, PerDomainMatchesOnPchaseLadderAndSkipsMore)
             skipped[mode] = gpu.engine().componentTicksSkipped();
         }
         EXPECT_EQ(cycles[IdleFastForward::Off],
-                  cycles[IdleFastForward::Full])
-            << footprint;
-        EXPECT_EQ(cycles[IdleFastForward::Off],
                   cycles[IdleFastForward::PerDomain])
             << footprint;
-        EXPECT_GT(skipped[IdleFastForward::PerDomain],
-                  skipped[IdleFastForward::Full])
+        EXPECT_EQ(skipped[IdleFastForward::Off], 0u) << footprint;
+        EXPECT_GT(skipped[IdleFastForward::PerDomain], 0u)
             << footprint;
-        full_skipped += skipped[IdleFastForward::Full];
-        per_skipped += skipped[IdleFastForward::PerDomain];
     }
-    EXPECT_GT(per_skipped, full_skipped);
 }
 
 // --------------------------------- intra-sim parallel tick goldens

@@ -429,7 +429,6 @@ runSound(const Kernel &kernel, std::size_t tick_jobs)
     cfg.numSms = 4;
     cfg.numPartitions = 2;
     cfg.deviceMemBytes = 4 * 1024 * 1024;
-    cfg.engine.smGroupSize = 1;
     cfg.engine.tickJobs = tick_jobs;
     Gpu gpu(cfg);
 

@@ -356,47 +356,18 @@ TEST(SmGroupDeterminism, NonUnityClockRatiosStayByteIdentical)
     EXPECT_EQ(renderRecord(a), renderRecord(b));
 }
 
-TEST(SmGroupDeterminism, GroupingChangesOnlyGroupCounterNames)
-{
-    // smGroupSize reshapes the tick groups (and therefore the
-    // engine.group.* counter names) but may not move a single
-    // simulated cycle or trace-derived value.
-    std::vector<ExperimentRecord> recs;
-    for (const char *gs : {"0", "1", "2"})
-        recs.push_back(runWith(
-            "vecadd", {"n=16384"},
-            {std::string("engine.smGroupSize=") + gs,
-             "engine.tickJobs=8"}));
-    auto nonGroup = [](const ExperimentRecord &rec) {
-        std::map<std::string, std::uint64_t> filtered;
-        for (const auto &[key, value] : rec.counters)
-            if (key.rfind("engine.group.", 0) != 0)
-                filtered.emplace(key, value);
-        return filtered;
-    };
-    for (std::size_t i = 1; i < recs.size(); ++i) {
-        EXPECT_EQ(recs[i].cycles, recs[0].cycles) << i;
-        EXPECT_EQ(nonGroup(recs[i]), nonGroup(recs[0])) << i;
-    }
-    // The fused shape reports the legacy single group name.
-    EXPECT_GT(recs[0].counters.at("engine.group.sm.ticks_run"), 0u);
-    EXPECT_GT(recs[1].counters.at("engine.group.sm0.ticks_run"), 0u);
-    EXPECT_GT(recs[2].counters.at("engine.group.sm1.ticks_run"), 0u);
-}
-
 // --------------------------------------- per-SM request-id pools
 
-TEST(RequestIdPools, SumMatchesAcrossGroupingsAndLaunches)
+TEST(RequestIdPools, SumMatchesAcrossTickJobsAndLaunches)
 {
     // The watchdog's activity signature now sums the per-SM pools;
     // the sum must be schedule-independent (it equals the value
     // the old shared counter would have had) and must keep growing
     // across launches so the signature keeps moving.
-    auto runOnce = [](std::size_t group_size, std::size_t jobs) {
+    auto runOnce = [](std::size_t jobs) {
         GpuConfig cfg = makeConfig("gf106");
         cfg.numSms = 4;
         cfg.deviceMemBytes = 32 * 1024 * 1024;
-        cfg.engine.smGroupSize = group_size;
         cfg.engine.tickJobs = jobs;
         Gpu gpu(cfg);
 
@@ -429,10 +400,8 @@ TEST(RequestIdPools, SumMatchesAcrossGroupingsAndLaunches)
         return totals;
     };
 
-    const auto baseline = runOnce(0, 1);
-    EXPECT_EQ(runOnce(1, 1), baseline);
-    EXPECT_EQ(runOnce(1, 8), baseline);
-    EXPECT_EQ(runOnce(2, 8), baseline);
+    const auto baseline = runOnce(1);
+    EXPECT_EQ(runOnce(8), baseline);
 }
 
 // --------------------------------- work stealing on uneven groups
