@@ -1,6 +1,7 @@
 #include "simt/coalescer.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -34,21 +35,25 @@ bankConflictDegree(const std::array<Addr, kWarpSize> &addrs,
                    LaneMask active, unsigned banks)
 {
     GPULAT_ASSERT(banks > 0, "need at least one bank");
-    // For each bank, count distinct 8-byte word addresses.
-    unsigned worst = active ? 1 : 0;
-    for (unsigned b = 0; b < banks; ++b) {
-        std::vector<Addr> words;
-        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-            if (!(active >> lane & 1))
-                continue;
-            const Addr word = addrs[lane] / 8;
-            if (word % banks != b)
-                continue;
-            if (std::find(words.begin(), words.end(), word) ==
-                words.end())
-                words.push_back(word);
-        }
-        worst = std::max(worst, static_cast<unsigned>(words.size()));
+    // Distinct 8-byte words first (lanes sharing a word are one
+    // broadcast access), then the most of them that share a bank.
+    std::array<Addr, kWarpSize> words{};
+    unsigned n = 0;
+    for (LaneMask m = active; m != 0; m &= m - 1) {
+        const Addr word = addrs[std::countr_zero(m)] / 8;
+        if (std::find(words.begin(), words.begin() + n, word) ==
+            words.begin() + n)
+            words[n++] = word;
+    }
+    std::array<Addr, kWarpSize> bank{};
+    for (unsigned i = 0; i < n; ++i)
+        bank[i] = words[i] % banks;
+    std::sort(bank.begin(), bank.begin() + n);
+    unsigned worst = 0;
+    unsigned run = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        run = i > 0 && bank[i] == bank[i - 1] ? run + 1 : 1;
+        worst = std::max(worst, run);
     }
     return worst;
 }

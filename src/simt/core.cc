@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <sstream>
 
@@ -86,7 +87,22 @@ void
 SmCore::startLaunch(const LaunchContext *ctx)
 {
     GPULAT_ASSERT(residentWarps_ == 0, "launch while SM busy");
+    GPULAT_ASSERT(ctx && ctx->kernel, "launch without a kernel");
     ctx_ = ctx;
+    // Decode each pc's scoreboard footprint once, so canIssue() and
+    // idleCauseCounter() test bits instead of operand fields.
+    auto bit = [](int r) { return r == kNoReg ? 0ull : 1ull << r; };
+    deps_.clear();
+    for (const Instruction &inst : ctx->kernel->code) {
+        IssueDeps d;
+        d.regs = bit(inst.srcA) | (inst.useImm ? 0 : bit(inst.srcB)) |
+                 bit(inst.srcC) | bit(inst.dst);
+        d.guard = static_cast<std::uint8_t>(bit(inst.pred));
+        if (inst.op == Opcode::SETP)
+            d.predDst = static_cast<std::uint8_t>(bit(inst.predDst));
+        d.lsu = inst.isMemory() && inst.space != MemSpace::Shared;
+        deps_.push_back(d);
+    }
     // Binding a context is a delivery that leaves no queue entry
     // behind: raise the woke flag so the promise reads "active
     // now" until the next tick observes it. (Not issuedLastTick_:
@@ -238,7 +254,7 @@ SmCore::allocToken(unsigned warp_slot, int dest, unsigned txns,
     return token;
 }
 
-void
+bool
 SmCore::completeLoadTxn(LoadToken token, Cycle now)
 {
     GPULAT_ASSERT(token != kNoToken, "completing an untracked load");
@@ -246,7 +262,7 @@ SmCore::completeLoadTxn(LoadToken token, Cycle now)
     GPULAT_ASSERT(load.valid && load.pendingTxns > 0,
                   "double completion of load token");
     if (--load.pendingTxns > 0)
-        return;
+        return false;
 
     warps_[load.warpSlot].clearRegPending(load.destReg);
     loadsCompleted_->inc();
@@ -260,6 +276,7 @@ SmCore::completeLoadTxn(LoadToken token, Cycle now)
     load.valid = false;
     freeTokens_.push_back(token);
     --inflightCount_;
+    return true;
 }
 
 void
@@ -625,38 +642,32 @@ SmCore::execGlobalMem(Warp &warp, const Instruction &inst,
 }
 
 bool
-SmCore::canIssue(Warp &warp, Cycle now)
+SmCore::canIssue(Warp &warp)
 {
-    (void)now;
     if (warp.state() != WarpState::Ready)
         return false;
     const std::uint32_t pc = warp.pc();
-    GPULAT_ASSERT(pc < ctx_->kernel->code.size(),
-                  "warp pc ", pc, " past end of kernel");
-    const Instruction &inst = ctx_->kernel->code[pc];
+    GPULAT_ASSERT(pc < deps_.size(), "warp pc ", pc,
+                  " past end of kernel");
+    const IssueDeps &d = deps_[pc];
 
     // Scoreboard: every register the instruction touches must be
     // idle (reads for correctness of timing, writes for WAW order).
-    if (inst.srcA != kNoReg && warp.regPending(inst.srcA))
-        return false;
-    if (!inst.useImm && inst.srcB != kNoReg &&
-        warp.regPending(inst.srcB))
-        return false;
-    if (inst.srcC != kNoReg && warp.regPending(inst.srcC))
-        return false;
-    if (inst.dst != kNoReg && warp.regPending(inst.dst))
-        return false;
-    if (inst.pred != kNoReg && warp.predPending(inst.pred))
-        return false;
-    if (inst.op == Opcode::SETP && warp.predPending(inst.predDst))
+    if ((warp.pendingRegMask() & d.regs) != 0 ||
+        (warp.pendingPredMask() & (d.guard | d.predDst)) != 0)
         return false;
 
     // Structural: LSU slot for non-shared memory ops.
-    if (inst.isMemory() && inst.space != MemSpace::Shared &&
-        lsuQueue_.full())
-        return false;
+    return !(d.lsu && lsuQueue_.full());
+}
 
-    return true;
+bool
+SmCore::anyWarpCanIssue()
+{
+    for (Warp &warp : warps_)
+        if (canIssue(warp))
+            return true;
+    return false;
 }
 
 void
@@ -696,9 +707,10 @@ SmCore::issueWarp(Warp &warp, Cycle now)
     }
 }
 
-void
+bool
 SmCore::tickWriteback(Cycle now)
 {
+    bool freed = false;
     while (!regWheel_.empty() && regWheel_.begin()->first <= now) {
         const RegWb wb = regWheel_.begin()->second;
         regWheel_.erase(regWheel_.begin());
@@ -706,6 +718,7 @@ SmCore::tickWriteback(Cycle now)
             warps_[wb.warpSlot].clearPredPending(wb.reg);
         else
             warps_[wb.warpSlot].clearRegPending(wb.reg);
+        freed = true;
     }
     while (!hitWheel_.empty() && hitWheel_.begin()->first <= now) {
         const Cycle at = hitWheel_.begin()->first;
@@ -714,8 +727,9 @@ SmCore::tickWriteback(Cycle now)
         done.trace.complete = at;
         if (latShard_ && latCollector_->enabled())
             latShard_->record(now, tagPhase_, done.trace);
-        completeLoadTxn(done.token, at);
+        freed |= completeLoadTxn(done.token, at);
     }
+    return freed;
 }
 
 void
@@ -732,11 +746,11 @@ SmCore::tickInject(Cycle now)
     GPULAT_ASSERT(ok, "inject must succeed after canInject");
 }
 
-void
+bool
 SmCore::tickLsu(Cycle now)
 {
     if (!lsuQueue_.headReady(now))
-        return;
+        return false;
     LsuOp &op = lsuQueue_.front();
     GPULAT_ASSERT(op.nextTxn < op.txns.size(), "empty LSU op");
     const Transaction &txn = op.txns[op.nextTxn];
@@ -772,7 +786,7 @@ SmCore::tickLsu(Cycle now)
 
     if (!op.isLoad) {
         if (missQueue_.full())
-            return; // retry next cycle
+            return false; // retry next cycle
         if (cached) {
             // Write-through, no-allocate: update the line if present
             // and always forward the write downstream.
@@ -792,12 +806,12 @@ SmCore::tickLsu(Cycle now)
         } else if (l1Mshr_.pending(txn.lineAddr)) {
             const auto mshr = l1Mshr_.allocate(txn.lineAddr, op.token);
             if (mshr == MshrOutcome::FullMerges)
-                return; // retry next cycle
+                return false; // retry next cycle
             GPULAT_ASSERT(mshr == MshrOutcome::Merged, "merge");
         } else {
             if (l1Mshr_.inFlight() >= l1Mshr_.capacity() ||
                 missQueue_.full())
-                return; // structural stall
+                return false; // structural stall
             const auto mshr = l1Mshr_.allocate(txn.lineAddr, op.token);
             GPULAT_ASSERT(mshr == MshrOutcome::NewEntry, "primary");
             const bool ok = missQueue_.push(now, make_request());
@@ -806,13 +820,15 @@ SmCore::tickLsu(Cycle now)
     } else {
         // Uncached load: every transaction is its own request.
         if (missQueue_.full())
-            return;
+            return false;
         const bool ok = missQueue_.push(now, make_request());
         GPULAT_ASSERT(ok, "miss queue push checked above");
     }
 
-    if (++op.nextTxn == op.txns.size())
-        lsuQueue_.pop();
+    if (++op.nextTxn < op.txns.size())
+        return false;
+    lsuQueue_.pop();
+    return true;
 }
 
 bool
@@ -821,7 +837,7 @@ SmCore::tickIssue(Cycle now)
     bool issued_any = false;
     for (auto &sched : schedulers_) {
         const int slot = sched.pick(
-            [&](unsigned s) { return canIssue(warps_[s], now); },
+            [&](unsigned s) { return canIssue(warps_[s]); },
             [&](unsigned s) { return warps_[s].dispatchSeq(); });
         if (slot < 0)
             continue;
@@ -838,20 +854,26 @@ SmCore::tick(Cycle now)
     // cycle's port deliveries (phase 0), in SM order.
     tagCycle_ = now;
     tagPhase_ = 1;
-    tickWriteback(now);
+    const bool freed = tickWriteback(now);
     tickInject(now);
-    tickLsu(now);
-    const bool issued_any = tickIssue(now);
-    issuedLastTick_ = issued_any;
+    const bool popped = tickLsu(now);
+    // Rescan only when the last scan's answer may be stale (see
+    // tick() in core.hh); Debug builds check every skipped scan.
+    if (issuedLastTick_ || wokeSinceTick_ || freed || popped) {
+        issuedLastTick_ = tickIssue(now);
+        idleCause_ = issuedLastTick_ ? nullptr : idleCauseCounter();
+    } else {
+        assert(!anyWarpCanIssue() && idleCause_ == idleCauseCounter());
+    }
     wokeSinceTick_ = false; // this tick observed all deliveries
 
     if (residentWarps_ > 0) {
         activeStat_->inc();
-        if (!issued_any) {
+        if (!issuedLastTick_) {
             ++idleCum_;
             idleStat_->inc();
-            if (Counter *cause = idleCauseCounter())
-                cause->inc();
+            if (idleCause_)
+                idleCause_->inc();
         }
     }
 }
@@ -886,10 +908,11 @@ SmCore::fastForward(Cycle from, Cycle to)
     activeStat_->inc(delta);
     idleCum_ += delta;
     idleStat_->inc(delta);
-    // Nothing changes inside a dead window, so the per-cycle idle
-    // classification is constant across it: classify once, scale.
-    if (Counter *cause = idleCauseCounter())
-        cause->inc(delta);
+    // Nothing changes inside a dead window, so the last scan's idle
+    // classification holds across it.
+    assert(idleCause_ == idleCauseCounter());
+    if (idleCause_)
+        idleCause_->inc(delta);
 }
 
 Counter *
@@ -909,27 +932,12 @@ SmCore::idleCauseCounter()
         }
         if (warp.state() != WarpState::Ready)
             continue;
-        const Instruction &inst = ctx_->kernel->code[warp.pc()];
-        bool dep_mem = false;
-        bool dep_any = false;
-        auto check = [&](int r) {
-            if (r == kNoReg || !warp.regPending(r))
-                return;
-            dep_any = true;
-            dep_mem |= warp.regPendingOnMemory(r);
-        };
-        check(inst.srcA);
-        if (!inst.useImm)
-            check(inst.srcB);
-        check(inst.srcC);
-        check(inst.dst);
-        if (inst.pred != kNoReg && warp.predPending(inst.pred))
-            dep_any = true;
-        if (dep_any) {
-            (dep_mem ? saw_mem : saw_alu) = true;
-        } else if (inst.isMemory() &&
-                   inst.space != MemSpace::Shared &&
-                   lsuQueue_.full()) {
+        const IssueDeps &d = deps_[warp.pc()];
+        const std::uint64_t pending = warp.pendingRegMask() & d.regs;
+        if (pending != 0 || (warp.pendingPredMask() & d.guard) != 0) {
+            const bool on_mem = (pending & warp.pendingMemRegMask()) != 0;
+            (on_mem ? saw_mem : saw_alu) = true;
+        } else if (d.lsu && lsuQueue_.full()) {
             saw_lsu = true;
         }
     }

@@ -125,7 +125,15 @@ class SmCore : public Clocked
     /** Dispatch grid block @p block_id onto this SM. */
     void dispatchBlock(unsigned block_id);
 
-    /** Advance one cycle. */
+    /**
+     * Advance one cycle. The warp scan runs only when its answer
+     * may have changed since the last scan that issued nothing:
+     * after an issue, a delivery (wokeSinceTick_), or a scoreboard
+     * clear or LSU pop in this tick's own earlier phases. Otherwise
+     * a rescan would pick nothing again and leave every scheduler
+     * as it is (GTO's greedy slot is already cleared, LRR's rotor
+     * only moves on an issue), so the cached idle cause is reused.
+     */
     void tick(Cycle now) override;
 
     /**
@@ -232,14 +240,34 @@ class SmCore : public Clocked
         LatencyTrace trace;
     };
 
-    /** @name tick() phases @{ */
-    void tickWriteback(Cycle now);
+    /** Scoreboard footprint of one instruction, decoded per launch. */
+    struct IssueDeps
+    {
+        /** Registers read or written: srcA, srcB (unless imm),
+         *  srcC, dst. */
+        std::uint64_t regs = 0;
+        /** Guard predicate. */
+        std::uint8_t guard = 0;
+        /** SETP destination predicate (WAW only: the idle cause
+         *  does not look at it). */
+        std::uint8_t predDst = 0;
+        /** Global/local memory op: needs an LSU slot. */
+        bool lsu = false;
+    };
+
+    /** @name tick() phases @{
+     * tickWriteback() and tickLsu() return true if they may have
+     * made a warp issuable (a scoreboard bit cleared, an LSU op
+     * left the queue). */
+    bool tickWriteback(Cycle now);
     void tickInject(Cycle now);
-    void tickLsu(Cycle now);
+    bool tickLsu(Cycle now);
     bool tickIssue(Cycle now);
     /** @} */
 
-    bool canIssue(Warp &warp, Cycle now);
+    bool canIssue(Warp &warp);
+    /** The skipped-scan cross-check: some warp could issue. */
+    bool anyWarpCanIssue();
     /** Counter the current dead cycle attributes to (may be null). */
     Counter *idleCauseCounter();
     void issueWarp(Warp &warp, Cycle now);
@@ -262,7 +290,9 @@ class SmCore : public Clocked
                        bool is_pred);
     LoadToken allocToken(unsigned warp_slot, int dest, unsigned txns,
                          Cycle now);
-    void completeLoadTxn(LoadToken token, Cycle now);
+    /** @return true if this was the load's last transaction (its
+     *  destination register is now free). */
+    bool completeLoadTxn(LoadToken token, Cycle now);
     void finishWarp(Warp &warp);
     void releaseBarrierIfReady(ResidentBlock &block);
     bool l1Caches(MemSpace space) const;
@@ -289,6 +319,8 @@ class SmCore : public Clocked
     /** @} */
 
     const LaunchContext *ctx_ = nullptr;
+    /** Per-pc scoreboard footprints of ctx_->kernel. */
+    std::vector<IssueDeps> deps_;
 
     std::vector<Warp> warps_;
     std::vector<ResidentBlock> blocks_;
@@ -319,6 +351,9 @@ class SmCore : public Clocked
      *  warp state since the last tick: the next scheduled tick may
      *  issue even though every wheel/queue looks quiet. */
     bool wokeSinceTick_ = false;
+    /** Idle cause found by the last scan that issued nothing; valid
+     *  until the next scan (see tick()). */
+    Counter *idleCause_ = nullptr;
 
     Counter *issued_;
     Counter *memInstrs_;

@@ -18,44 +18,4 @@ WarpScheduler::WarpScheduler(SchedPolicy policy,
 {
 }
 
-int
-WarpScheduler::pick(const std::function<bool(unsigned)> &is_ready,
-                    const std::function<std::uint64_t(unsigned)> &age)
-{
-    if (slots_.empty())
-        return -1;
-
-    if (policy_ == SchedPolicy::LRR) {
-        // Start one past the last issuer and take the first ready.
-        for (std::size_t k = 0; k < slots_.size(); ++k) {
-            const std::size_t i = (rrNext_ + k) % slots_.size();
-            if (is_ready(slots_[i])) {
-                rrNext_ = (i + 1) % slots_.size();
-                return static_cast<int>(slots_[i]);
-            }
-        }
-        return -1;
-    }
-
-    // GTO: stay on the greedy warp while it issues; on a stall,
-    // switch to the oldest ready warp.
-    if (greedySlot_ >= 0 &&
-        is_ready(static_cast<unsigned>(greedySlot_))) {
-        return greedySlot_;
-    }
-    int best = -1;
-    std::uint64_t best_age = ~0ull;
-    for (unsigned slot : slots_) {
-        if (!is_ready(slot))
-            continue;
-        const std::uint64_t a = age(slot);
-        if (a < best_age) {
-            best_age = a;
-            best = static_cast<int>(slot);
-        }
-    }
-    greedySlot_ = best;
-    return best;
-}
-
 } // namespace gpulat

@@ -153,13 +153,12 @@ class Warp
     /** @} */
 
     /** @name Scoreboard @{ */
-    bool regPending(int r) const { return pendingRegs_ >> r & 1; }
-    /** True if the pending producer of r is a memory load. */
-    bool
-    regPendingOnMemory(int r) const
-    {
-        return pendingMemRegs_ >> r & 1;
-    }
+    /** Pending registers (bit r = register r). */
+    std::uint64_t pendingRegMask() const { return pendingRegs_; }
+    /** Pending registers whose producer is a memory load. */
+    std::uint64_t pendingMemRegMask() const { return pendingMemRegs_; }
+    /** Pending predicates (bit p = predicate p). */
+    std::uint8_t pendingPredMask() const { return pendingPreds_; }
     void
     markRegPending(int r, bool from_memory = false)
     {
@@ -173,7 +172,6 @@ class Warp
         pendingRegs_ &= ~(1ull << r);
         pendingMemRegs_ &= ~(1ull << r);
     }
-    bool predPending(int p) const { return pendingPreds_ >> p & 1; }
     void markPredPending(int p)
     {
         pendingPreds_ |= static_cast<std::uint8_t>(1u << p);
@@ -182,7 +180,6 @@ class Warp
     {
         pendingPreds_ &= static_cast<std::uint8_t>(~(1u << p));
     }
-    bool anyPending() const { return pendingRegs_ || pendingPreds_; }
     /** @} */
 
     /** Lanes of @p mask whose guard (pred, neg) evaluates true. */

@@ -1,13 +1,22 @@
 /**
  * @file
  * Unit + property tests for the SIMT building blocks: warp stack,
- * coalescer, bank conflicts and warp schedulers.
+ * coalescer, bank conflicts, warp schedulers, and the events that
+ * make a stalled warp of a standalone SmCore issuable again.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.hh"
+#include "common/stats.hh"
+#include "icnt/crossbar.hh"
+#include "isa/kernel.hh"
+#include "mem/device_memory.hh"
 #include "simt/coalescer.hh"
+#include "simt/core.hh"
 #include "simt/scheduler.hh"
 #include "simt/warp.hh"
 
@@ -105,14 +114,18 @@ TEST(Warp, GuardMaskHonorsPredicateAndNegation)
 TEST(Warp, ScoreboardTracksRegsAndPreds)
 {
     Warp w = freshWarp();
-    EXPECT_FALSE(w.anyPending());
     w.markRegPending(7);
+    w.markRegPending(9, true);
     w.markPredPending(1);
-    EXPECT_TRUE(w.regPending(7));
-    EXPECT_TRUE(w.predPending(1));
+    EXPECT_EQ(w.pendingRegMask(), (1ull << 7) | (1ull << 9));
+    EXPECT_EQ(w.pendingMemRegMask(), 1ull << 9);
+    EXPECT_EQ(w.pendingPredMask(), 1u << 1);
     w.clearRegPending(7);
+    w.clearRegPending(9);
     w.clearPredPending(1);
-    EXPECT_FALSE(w.anyPending());
+    EXPECT_EQ(w.pendingRegMask(), 0u);
+    EXPECT_EQ(w.pendingMemRegMask(), 0u);
+    EXPECT_EQ(w.pendingPredMask(), 0u);
 }
 
 TEST(Warp, RegisterFileIsPerLane)
@@ -258,6 +271,73 @@ TEST(BankConflicts, PaddedTransposeColumnIsConflictFree)
     EXPECT_EQ(bankConflictDegree(addrs, kFullMask, 32), 1u);
 }
 
+/** The original O(banks x lanes) loop: the reference the
+ *  fixed-array bankConflictDegree() must agree with. */
+unsigned
+referenceBankConflictDegree(const std::array<Addr, kWarpSize> &addrs,
+                            LaneMask active, unsigned banks)
+{
+    // For each bank, count distinct 8-byte word addresses.
+    unsigned worst = active ? 1 : 0;
+    for (unsigned b = 0; b < banks; ++b) {
+        std::vector<Addr> words;
+        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+            if (!(active >> lane & 1))
+                continue;
+            const Addr word = addrs[lane] / 8;
+            if (word % banks != b)
+                continue;
+            if (std::find(words.begin(), words.end(), word) ==
+                words.end())
+                words.push_back(word);
+        }
+        worst = std::max(worst, static_cast<unsigned>(words.size()));
+    }
+    return worst;
+}
+
+/** Property: agrees with the reference loop on broadcasts,
+ *  duplicate words, strides and random lane masks (including 0). */
+TEST(BankConflictsProperty, MatchesReferenceLoop)
+{
+    Rng rng(17);
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::array<Addr, kWarpSize> addrs{};
+        const Addr base = rng.below(1 << 12) * 8;
+        switch (trial % 4) {
+          case 0: // broadcast
+            addrs.fill(base + rng.below(8));
+            break;
+          case 1: // few distinct words: many duplicates, unaligned
+            for (auto &a : addrs)
+                a = base + rng.below(64);
+            break;
+          case 2: { // strided
+            const Addr stride = rng.range(1, 40) * 8;
+            for (unsigned lane = 0; lane < kWarpSize; ++lane)
+                addrs[lane] = base + lane * stride;
+            break;
+          }
+          default: // scattered
+            for (auto &a : addrs)
+                a = rng.below(1 << 20);
+            break;
+        }
+        LaneMask active = 0;
+        switch (rng.below(4)) {
+          case 0: active = 0; break;
+          case 1: active = kFullMask; break;
+          case 2: active = 1u << rng.below(kWarpSize); break;
+          default: active = static_cast<LaneMask>(rng.next()); break;
+        }
+        for (const unsigned banks : {1u, 2u, 16u, 32u, 33u}) {
+            EXPECT_EQ(bankConflictDegree(addrs, active, banks),
+                      referenceBankConflictDegree(addrs, active, banks))
+                << "trial " << trial << " banks " << banks;
+        }
+    }
+}
+
 TEST(Scheduler, LrrRotatesThroughReadyWarps)
 {
     WarpScheduler sched(SchedPolicy::LRR, {0, 1, 2, 3});
@@ -309,6 +389,146 @@ TEST(Scheduler, GtoFallsBackToOldestOnStall)
     auto not0 = [](unsigned s) { return s != 0; };
     EXPECT_EQ(sched.pick(not0, age), 1); // oldest ready
     EXPECT_EQ(sched.pick(not0, age), 1); // new greedy warp
+}
+
+/**
+ * One SM driven by hand: a 1x1 request crossbar, one partition, and
+ * a launch context filled in directly. Each warp is one full block.
+ */
+struct StandaloneSm
+{
+    StandaloneSm(Kernel k, const SmParams &params,
+                 unsigned num_blocks = 1)
+        : kernel(std::move(k)),
+          sm(params, &dmem, &stats, nullptr, nullptr, &net,
+             [](Addr) { return 0u; })
+    {
+        ctx.kernel = &kernel;
+        ctx.numBlocks = num_blocks;
+        ctx.threadsPerBlock = kWarpSize;
+        ctx.totalThreads = std::uint64_t{num_blocks} * kWarpSize;
+        sm.startLaunch(&ctx);
+        sm.dispatchBlock(0);
+    }
+
+    std::uint64_t
+    counter(const std::string &name) const
+    {
+        return stats.counterValue("sm0." + name);
+    }
+
+    /** Tick the SM over cycles [from, to). */
+    void
+    run(Cycle from, Cycle to)
+    {
+        for (Cycle c = from; c < to; ++c)
+            sm.tick(c);
+    }
+
+    DeviceMemory dmem{1 << 16};
+    StatRegistry stats;
+    Crossbar<MemRequest> net{"icnt", 1, 1, 1, 8, 8, &stats};
+    Kernel kernel;
+    LaunchContext ctx;
+    SmCore sm;
+};
+
+/** r1 = 5; r2 = r1 + 1 (stalls on r1); exit. */
+Kernel
+aluChain()
+{
+    KernelBuilder b("alu_chain");
+    b.movImm(1, 5).aluImm(Opcode::IADD, 2, 1, 1).exit();
+    return b.finalize();
+}
+
+/** r1 = [0x100]; r2 = r1 + 1 (stalls on the load); exit. */
+Kernel
+loadUse()
+{
+    KernelBuilder b("load_use");
+    b.ld(MemSpace::Global, 1, 0, 0x100)
+        .aluImm(Opcode::IADD, 2, 1, 1)
+        .exit();
+    return b.finalize();
+}
+
+// Each case below stalls a warp, lets the SM tick through cycles
+// where nothing changes, then checks that the dependent
+// instruction issues on the very tick its wake-up event lands.
+
+TEST(SmCoreWake, AluWritebackWakesDependent)
+{
+    SmParams params;
+    params.aluLatency = 10;
+    StandaloneSm t(aluChain(), params);
+    t.run(0, 10);
+    EXPECT_EQ(t.counter("issued"), 1u);
+    EXPECT_EQ(t.counter("idle_on_alu"), 9u);
+    t.sm.tick(10); // r1's writeback lands
+    EXPECT_EQ(t.counter("issued"), 2u);
+}
+
+TEST(SmCoreWake, L1HitCompletionWakesDependent)
+{
+    SmParams params;
+    params.smBaseLatency = 10;
+    params.l1HitLatency = 30;
+    StandaloneSm t(loadUse(), params);
+    t.sm.l1()->fill(0x100, 0);
+    t.run(0, 40); // L1 hit at cycle 10, data back at 40
+    EXPECT_EQ(t.counter("issued"), 1u);
+    EXPECT_EQ(t.counter("idle_on_memory"), 39u);
+    t.sm.tick(40);
+    EXPECT_EQ(t.counter("issued"), 2u);
+}
+
+TEST(SmCoreWake, LoadResponseWakesDependent)
+{
+    SmParams params;
+    params.l1Enabled = false;
+    StandaloneSm t(loadUse(), params);
+    for (Cycle c = 0; c < 50; ++c) {
+        t.sm.tick(c);
+        t.net.tick(c);
+    }
+    ASSERT_TRUE(t.net.deliverable(0, 50));
+    MemRequest req = t.net.eject(0);
+    EXPECT_EQ(t.counter("issued"), 1u);
+    t.sm.acceptResponse(50, std::move(req));
+    t.sm.tick(50);
+    EXPECT_EQ(t.counter("issued"), 2u);
+}
+
+TEST(SmCoreWake, LsuPopWakesStalledMemoryOp)
+{
+    KernelBuilder b("two_loads");
+    b.ld(MemSpace::Global, 1, 0, 0x100)
+        .ld(MemSpace::Global, 2, 0, 0x200)
+        .exit();
+    SmParams params;
+    params.lsuQueueSize = 1;
+    params.smBaseLatency = 10;
+    params.l1Enabled = false;
+    StandaloneSm t(b.finalize(), params);
+    t.run(0, 10);
+    EXPECT_EQ(t.counter("issued"), 1u);
+    EXPECT_EQ(t.counter("idle_on_lsu"), 9u);
+    t.sm.tick(10); // the first load leaves the LSU queue
+    EXPECT_EQ(t.counter("issued"), 2u);
+}
+
+TEST(SmCoreWake, DispatchWakesSmWhoseLastScanFoundNothing)
+{
+    SmParams params;
+    params.aluLatency = 100;
+    StandaloneSm t(aluChain(), params, 2);
+    t.run(0, 3);
+    EXPECT_EQ(t.counter("issued"), 1u);
+    ASSERT_TRUE(t.sm.canAcceptBlock());
+    t.sm.dispatchBlock(1);
+    t.sm.tick(3);
+    EXPECT_EQ(t.counter("issued"), 2u);
 }
 
 } // namespace
