@@ -1,7 +1,7 @@
 /**
  * @file
- * The experiment runner behind the `gpulat` CLI and the migrated
- * benches: a declarative ExperimentSpec (preset + overrides +
+ * The experiment runner behind the `gpulat` CLI, the Table I bench
+ * and perfbench: a declarative ExperimentSpec (preset + overrides +
  * workload + params) is resolved through the config-override layer
  * and the WorkloadRegistry, simulated, and collapsed into one
  * schema-stable ExperimentRecord. Sweeps are specs whose values

@@ -99,25 +99,18 @@ TextTableSink::write(const ExperimentRecord &record)
 void
 TextTableSink::finish()
 {
-    std::vector<std::string> header{
-        "gpu", "workload", "params", "overrides", "correct",
-        "cycles", "instrs", "IPC", "mean load lat", "exposed %"};
-    for (const std::string &m : extraMetrics_)
-        header.push_back(m);
-    TextTable table(std::move(header));
+    TextTable table({"gpu", "workload", "params", "overrides",
+                     "correct", "cycles", "instrs", "IPC",
+                     "mean load lat", "exposed %"});
     for (const ExperimentRecord &r : records_) {
-        std::vector<std::string> row{
-            r.gpu, r.workload, joinPairs(r.params, " "),
-            joinPairs(r.overrides, " "),
-            r.correct ? "yes" : "NO",
-            std::to_string(r.cycles),
-            std::to_string(r.instructions),
-            metricCell(r, "ipc", 2, "-"),
-            metricCell(r, "mean_load_latency", 1, "-"),
-            metricCell(r, "exposed_pct", 1, "-")};
-        for (const std::string &m : extraMetrics_)
-            row.push_back(metricCell(r, m, 1, "-"));
-        table.addRow(std::move(row));
+        table.addRow({r.gpu, r.workload, joinPairs(r.params, " "),
+                      joinPairs(r.overrides, " "),
+                      r.correct ? "yes" : "NO",
+                      std::to_string(r.cycles),
+                      std::to_string(r.instructions),
+                      metricCell(r, "ipc", 2, "-"),
+                      metricCell(r, "mean_load_latency", 1, "-"),
+                      metricCell(r, "exposed_pct", 1, "-")});
     }
     table.print(os_);
 }

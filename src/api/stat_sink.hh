@@ -65,8 +65,8 @@ struct ExperimentRecord
     /**
      * Resolved intra-simulation tick workers the run executed with
      * (TickEngine::tickJobs(), >= 1). Execution metadata for
-     * programmatic consumers (benches comparing wall-clock per
-     * worker count) — deliberately *not* serialized by any sink,
+     * programmatic consumers (perfbench logs it beside each cell's
+     * wall-clock) — deliberately *not* serialized by any sink,
      * and `engine.tickJobs` is filtered from `overrides`, because
      * records must be byte-identical across tick-jobs values (the
      * per-group tick counters `engine.group.<name>.ticks_run` in
@@ -91,20 +91,12 @@ class StatSink
 class TextTableSink : public StatSink
 {
   public:
-    /**
-     * @param extra_metrics metric names appended as columns after
-     *        the standard ones (benches add their experiment's
-     *        headline numbers, e.g. "dram_row_hit_pct").
-     */
-    explicit TextTableSink(std::ostream &os,
-                           std::vector<std::string> extra_metrics = {})
-        : os_(os), extraMetrics_(std::move(extra_metrics)) {}
+    explicit TextTableSink(std::ostream &os) : os_(os) {}
     void write(const ExperimentRecord &record) override;
     void finish() override;
 
   private:
     std::ostream &os_;
-    std::vector<std::string> extraMetrics_;
     std::vector<ExperimentRecord> records_;
 };
 
@@ -170,11 +162,9 @@ class MultiSink : public StatSink
 
 /**
  * Bench-main helper: consume `--json FILE` / `--csv FILE` pairs
- * from a bench's argv and add the matching sinks, so every bench
- * offers machine-readable output for free. When @p jobs is
+ * from a bench's argv and add the matching sinks. When @p jobs is
  * non-null, `--jobs N` is also accepted (parseJobs semantics,
- * 0 = hardware concurrency) so multi-point benches parallelize for
- * free. fatal() on other arguments.
+ * 0 = hardware concurrency). fatal() on other arguments.
  */
 void addOutputSinks(MultiSink &sinks, int argc,
                     const char *const *argv,

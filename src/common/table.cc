@@ -74,22 +74,6 @@ TextTable::print(std::ostream &os) const
         emit_row(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ",";
-            os << csvField(row[c]);
-        }
-        os << "\n";
-    };
-    emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 StackedBarChart::StackedBarChart(std::vector<std::string> series_names,
                                  std::size_t width)
     : seriesNames_(std::move(series_names)), width_(width)

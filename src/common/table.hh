@@ -2,7 +2,7 @@
  * @file
  * Text rendering helpers for benches and examples: aligned tables
  * (Table I style) and horizontal stacked-bar charts (Figure 1/2
- * style), plus CSV emission for downstream plotting.
+ * style), plus RFC-4180 field quoting for the CSV record sink.
  */
 
 #ifndef GPULAT_COMMON_TABLE_HH
@@ -25,9 +25,6 @@ class TextTable
 
     /** Render with padded columns and a rule under the header. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (no padding, RFC-4180 quoting via csvField). */
-    void printCsv(std::ostream &os) const;
 
     std::size_t rows() const { return rows_.size(); }
 

@@ -496,7 +496,6 @@ TickEngine::flushSection()
         runBatch(0);
     } else {
         pool_->run(sectionBatches_.size());
-        ++parSections_;
     }
     for (const std::exception_ptr &err : sectionErrors_) {
         if (err)

@@ -224,9 +224,6 @@ class TickEngine
     {
         return groups_[g].ticksRun;
     }
-    /** Parallel batch dispatches performed (wall-clock metadata:
-     *  0 on the serial path, so never mirrored into stats). */
-    std::uint64_t parallelSections() const { return parSections_; }
     /** @} */
 
     const std::vector<std::unique_ptr<ClockDomain>> &domains() const
@@ -354,7 +351,6 @@ class TickEngine
     Cycle skippedCycles_ = 0;
     std::uint64_t ffWindows_ = 0;
     std::uint64_t steps_ = 0;
-    std::uint64_t parSections_ = 0;
 };
 
 } // namespace gpulat

@@ -56,20 +56,6 @@ computeBreakdown(const std::vector<LatencyTrace> &traces,
     return bd;
 }
 
-std::vector<Stage>
-Breakdown::rankedStages() const
-{
-    std::vector<Stage> stages;
-    for (std::size_t s = 0; s < kNumStages; ++s)
-        stages.push_back(static_cast<Stage>(s));
-    std::sort(stages.begin(), stages.end(),
-              [this](Stage a, Stage b) {
-                  return totalByStage[static_cast<std::size_t>(a)] >
-                         totalByStage[static_cast<std::size_t>(b)];
-              });
-    return stages;
-}
-
 std::string
 Breakdown::bucketLabel(std::size_t i) const
 {
@@ -96,25 +82,6 @@ Breakdown::printChart(std::ostream &os, std::size_t width) const
                      "n=" + std::to_string(buckets[b].count));
     }
     chart.print(os);
-}
-
-void
-Breakdown::printCsv(std::ostream &os) const
-{
-    std::vector<std::string> header{"bucket_lo", "bucket_hi", "count"};
-    for (std::size_t s = 0; s < kNumStages; ++s)
-        header.emplace_back(toString(static_cast<Stage>(s)));
-    TextTable table(header);
-    for (const auto &bucket : buckets) {
-        std::vector<std::string> row{std::to_string(bucket.lo),
-                                     std::to_string(bucket.hi),
-                                     std::to_string(bucket.count)};
-        for (std::size_t s = 0; s < kNumStages; ++s)
-            row.push_back(formatDouble(
-                bucket.stagePct(static_cast<Stage>(s)), 2));
-        table.addRow(std::move(row));
-    }
-    table.printCsv(os);
 }
 
 } // namespace gpulat

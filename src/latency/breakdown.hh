@@ -51,21 +51,11 @@ struct Breakdown
     /** Aggregate cycles per stage across all requests. */
     std::array<std::uint64_t, kNumStages> totalByStage{};
 
-    /**
-     * Stages ranked by aggregate contribution, heaviest first —
-     * used to reproduce the paper's "queueing and arbitration are
-     * the two key latency contributors" claim.
-     */
-    std::vector<Stage> rankedStages() const;
-
     /** Paper-style "lo-hi" label for bucket @p i. */
     std::string bucketLabel(std::size_t i) const;
 
     /** Render as an ASCII stacked-bar chart (Figure 1 lookalike). */
     void printChart(std::ostream &os, std::size_t width = 60) const;
-
-    /** Render as a CSV table (one row per bucket, one col/stage). */
-    void printCsv(std::ostream &os) const;
 };
 
 /**

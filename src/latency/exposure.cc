@@ -105,19 +105,4 @@ ExposureBreakdown::printChart(std::ostream &os,
     chart.print(os);
 }
 
-void
-ExposureBreakdown::printCsv(std::ostream &os) const
-{
-    TextTable table({"bucket_lo", "bucket_hi", "count", "exposed_pct",
-                     "hidden_pct"});
-    for (const auto &bucket : buckets) {
-        table.addRow({std::to_string(bucket.lo),
-                      std::to_string(bucket.hi),
-                      std::to_string(bucket.count),
-                      formatDouble(bucket.exposedPct(), 2),
-                      formatDouble(bucket.hiddenPct(), 2)});
-    }
-    table.printCsv(os);
-}
-
 } // namespace gpulat

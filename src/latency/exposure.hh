@@ -52,7 +52,6 @@ struct ExposureBreakdown
 
     std::string bucketLabel(std::size_t i) const;
     void printChart(std::ostream &os, std::size_t width = 60) const;
-    void printCsv(std::ostream &os) const;
 };
 
 /** Bucket per-load exposure records (48 linear buckets, like Fig 2). */

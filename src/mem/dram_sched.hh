@@ -6,7 +6,8 @@
  * dominant dynamic latency components and suggests the scheduling
  * algorithm as a latency lever; we therefore implement both the
  * throughput-oriented FR-FCFS (first-ready, row-hit-first) policy
- * GPUs ship and a plain FCFS baseline for the ablation bench.
+ * GPUs ship and a plain FCFS baseline to ablate it against
+ * (`partition.sched=fcfs`).
  */
 
 #ifndef GPULAT_MEM_DRAM_SCHED_HH

@@ -3,7 +3,7 @@
  * Matrix transpose in two flavours: naive (uncoalesced writes, one
  * transaction per lane) and tiled through shared memory with a
  * padded tile (fully coalesced, conflict-free). The pair is the
- * classic coalescing ablation for the latency benches.
+ * classic coalescing ablation.
  */
 
 #ifndef GPULAT_WORKLOADS_TRANSPOSE_HH

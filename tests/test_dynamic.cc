@@ -3,7 +3,8 @@
  * Dynamic latency analysis tests (Figures 1 and 2): trace
  * well-formedness on real runs, the paper's qualitative claims
  * about BFS (queueing/arbitration dominate long latencies; a large
- * exposed fraction), and the latency-hiding contrast with vecadd.
+ * exposed fraction; added interconnect latency shows up in its
+ * runtime), and the latency-hiding contrast with vecadd.
  */
 
 #include <gtest/gtest.h>
@@ -240,6 +241,36 @@ TEST(DynamicSched, FrFcfsNotSlowerThanFcfsOnStreaming)
     };
     EXPECT_LE(run_cycles(DramSchedPolicy::FRFCFS),
               run_cycles(DramSchedPolicy::FCFS) * 1.05);
+}
+
+TEST(DynamicIcnt, LatencyIsExposedInBfsAndHiddenInComputeStream)
+{
+    // The paper's conclusion: latency must be a design
+    // consideration beside throughput. Stretching the crossbar
+    // traversal from 10 to 160 cycles slows BFS's dependent,
+    // scattered loads, while an FMA-bound stream hides it.
+    auto cycles = [](auto make_workload, Cycle icnt_latency) {
+        GpuConfig cfg = makeConfig("gf106");
+        cfg.icntLatency = icnt_latency;
+        Gpu gpu(cfg);
+        auto workload = make_workload();
+        const WorkloadResult r = workload.run(gpu);
+        EXPECT_TRUE(r.correct) << workload.name();
+        return static_cast<double>(r.cycles);
+    };
+    auto bfs = [] {
+        Bfs::Options opts;
+        opts.scale = 10;
+        return Bfs(opts);
+    };
+    auto stream = [] {
+        ComputeStream::Options opts;
+        opts.n = 8192;
+        opts.fmaDepth = 32;
+        return ComputeStream(opts);
+    };
+    EXPECT_GE(cycles(bfs, 160), cycles(bfs, 10) * 1.15);
+    EXPECT_LE(cycles(stream, 160), cycles(stream, 10) * 1.05);
 }
 
 } // namespace

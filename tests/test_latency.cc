@@ -193,19 +193,6 @@ TEST(Breakdown, StagePercentagesSumTo100PerNonEmptyBucket)
     }
 }
 
-TEST(Breakdown, RankedStagesOrderedByContribution)
-{
-    const Breakdown bd = computeBreakdown({dramTrace()}, 4);
-    const auto ranked = bd.rankedStages();
-    for (std::size_t i = 1; i < ranked.size(); ++i) {
-        EXPECT_GE(
-            bd.totalByStage[static_cast<std::size_t>(ranked[i - 1])],
-            bd.totalByStage[static_cast<std::size_t>(ranked[i])]);
-    }
-    // For this trace DRAM(SchToA) = 320 dominates.
-    EXPECT_EQ(ranked[0], Stage::DramSchedToData);
-}
-
 TEST(Exposure, PercentagesPartition)
 {
     std::vector<ExposureRecord> records{{100, 30}, {100, 70}};

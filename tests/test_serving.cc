@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -340,6 +341,23 @@ TEST(Serving, ByteIdenticalAcrossTickJobsAndJobs)
     EXPECT_NE(serial.find("serving.p99_latency"), std::string::npos);
     EXPECT_EQ(serial, sweepOutput({"--tick-jobs", "8"}));
     EXPECT_EQ(serial, sweepOutput({"--jobs", "4"}));
+}
+
+TEST(Serving, PoliciesSpreadTheTailUnderSaturation)
+{
+    // Under identical saturating load the launch-queue policy must
+    // actually move the p99 tail: at least two policies disagree.
+    std::set<double> p99s;
+    for (const char *policy : {"fifo", "rr", "sjf-est", "fair-share"}) {
+        ExperimentSpec spec;
+        spec.workload = "serve.mixed";
+        spec.params = {"launches=10", "load=12"};
+        spec.overrides = {std::string("serving.policy=") + policy};
+        const ExperimentRecord rec = runExperiment(spec);
+        EXPECT_TRUE(rec.correct) << policy;
+        p99s.insert(rec.metric("serving.p99_latency"));
+    }
+    EXPECT_GE(p99s.size(), 2u);
 }
 
 TEST(Serving, SeedChangesArrivalsButStaysCorrect)

@@ -331,17 +331,22 @@ runWith(const std::string &workload,
 
 TEST(SmGroupDeterminism, ComputeHeavyOutputIsByteIdentical)
 {
-    // The ISSUE-6 gate, in-process: a compute-heavy, SM-parallel
-    // workload must produce byte-identical records at tick-jobs 1
-    // and 8 (warp-scheduler stress via high warp occupancy).
-    const std::vector<std::string> params{"n=32768", "fmaDepth=48"};
-    const auto a = runWith("compute_stream", params,
-                           {"sm.warpSlots=48"});
-    const auto b = runWith(
-        "compute_stream", params,
-        {"sm.warpSlots=48", "engine.tickJobs=8"});
-    EXPECT_EQ(renderRecord(a), renderRecord(b));
-    EXPECT_GT(a.cycles, 0u);
+    // Compute-heavy, SM-parallel workloads must produce
+    // byte-identical records at tick-jobs 1 and 8 (warp-scheduler
+    // stress via high warp occupancy): a straight-line FFMA stream
+    // and gemm, whose loop the footprint analysis proves safe.
+    const std::pair<const char *, std::vector<std::string>> cells[] = {
+        {"compute_stream", {"n=32768", "fmaDepth=48"}},
+        {"gemm", {"n=128"}},
+    };
+    for (const auto &[workload, params] : cells) {
+        const auto a = runWith(workload, params, {"sm.warpSlots=48"});
+        const auto b = runWith(workload, params,
+                               {"sm.warpSlots=48", "engine.tickJobs=8"});
+        EXPECT_EQ(renderRecord(a), renderRecord(b)) << workload;
+        EXPECT_TRUE(a.correct) << workload;
+        EXPECT_EQ(a.metric("analysis.sm_parallel"), 1.0) << workload;
+    }
 }
 
 TEST(SmGroupDeterminism, NonUnityClockRatiosStayByteIdentical)
