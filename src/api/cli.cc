@@ -122,9 +122,7 @@ listWorkloads(std::ostream &out)
     const WorkloadRegistry &reg = WorkloadRegistry::instance();
     for (const std::string &name : reg.names()) {
         const WorkloadEntry *entry = reg.find(name);
-        out << "  " << name
-            << (entry->benchSuite ? " [bench-suite]" : " [on-demand]")
-            << workloadVerdictTag(name)
+        out << "  " << name << workloadVerdictTag(name)
             << " — " << entry->description << "\n";
         for (const WorkloadParamSpec &p : entry->params) {
             out << "      " << p.name << " (default "

@@ -296,7 +296,6 @@ buildKeys()
                        "writethrough|writeback"),
         GPULAT_CFG_KEY(partition.dramQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.sched, "fcfs|frfcfs"),
-        GPULAT_CFG_KEY(partition.dramStarvationLimit, "cycles"),
         GPULAT_CFG_KEY(partition.dramCmdInterval, "cycles"),
         GPULAT_CFG_KEY(partition.returnQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.returnQueueLatency, "cycles"),
@@ -310,8 +309,7 @@ buildKeys()
 
         // Memory-fidelity axes live under a stable `mem.` namespace
         // (sweep specs shouldn't depend on which struct holds the
-        // knob; starveLimit also aliases the historical
-        // partition.dramStarvationLimit spelling).
+        // knob).
         dramModelKey(),
         makeKey("mem.dram.map", "row|bg|xor",
                 [](GpuConfig &c) -> auto & {
@@ -372,10 +370,6 @@ buildKeys()
         makeKey("mem.mshr.bankEntries", "uint (0 = entries/banks)",
                 [](GpuConfig &c) -> auto & {
                     return c.partition.l2MshrBankEntries;
-                }),
-        makeKey("mem.mshr.bankMerges", "uint (0 = maxMerge)",
-                [](GpuConfig &c) -> auto & {
-                    return c.partition.l2MshrBankMerges;
                 }),
     };
 

@@ -129,9 +129,7 @@ collectRecord(Gpu &gpu, const ExperimentSpec &spec,
     }
 
     // Aggregate unit counters across SMs/partitions under their
-    // unit-relative names ("sm3.l1.hits" counts toward "l1.hits"),
-    // reading per-epoch deltas so back-to-back experiments on one
-    // Gpu stay separable.
+    // unit-relative names ("sm3.l1.hits" counts toward "l1.hits").
     const StatRegistry &stats = gpu.stats();
     auto unitRelative = [](const std::string &name) {
         for (const char *prefix : {"sm", "part"}) {
@@ -147,11 +145,8 @@ collectRecord(Gpu &gpu, const ExperimentSpec &spec,
         }
         return name;
     };
-    for (const auto &[name, counter] : stats.counters()) {
-        (void)counter;
-        rec.counters[unitRelative(name)] +=
-            stats.counterSinceEpoch(name);
-    }
+    for (const auto &[name, counter] : stats.counters())
+        rec.counters[unitRelative(name)] += counter.value();
 
     const std::uint64_t l1_hits = rec.counters.count("l1.hits")
         ? rec.counters.at("l1.hits") : 0;
@@ -206,21 +201,21 @@ collectRecord(Gpu &gpu, const ExperimentSpec &spec,
     rec.metrics["mshr_bank_conflicts"] = static_cast<double>(
         counter_or_zero("l2_mshr_bank_conflicts"));
 
-    StatRegistry::ScalarDelta wait;
+    double wait_sum = 0.0;
+    std::uint64_t wait_count = 0;
     for (const auto &[name, scalar] : stats.scalars()) {
-        (void)scalar;
         if (name.find(".dram_queue_wait") == std::string::npos)
             continue;
-        const auto delta = stats.scalarSinceEpoch(name);
-        wait.sum += delta.sum;
-        wait.count += delta.count;
+        wait_sum += scalar.sum();
+        wait_count += scalar.count();
     }
-    rec.metrics["mean_dram_queue_wait"] = wait.mean();
+    rec.metrics["mean_dram_queue_wait"] = wait_count
+        ? wait_sum / static_cast<double>(wait_count)
+        : 0.0;
 
     // Fast-forward effectiveness: the share of each clock domain's
-    // scheduled component ticks the engine provably skipped this
-    // epoch (0 with idleFastForward=off; perDomain strictly beats
-    // full on latency-bound runs). The raw totals ride along in
+    // scheduled component ticks the engine provably skipped (0 with
+    // idleFastForward=off). The raw totals ride along in
     // rec.counters as engine.<domain>.ticks_run/_skipped via the
     // generic counter loop above.
     for (const auto &domain : gpu.engine().domains()) {

@@ -56,10 +56,8 @@ ExperimentRecord runExperiment(
         &inspect = {});
 
 /**
- * Collapse a finished run on @p gpu into a record. Reads counters
- * via StatRegistry::counterSinceEpoch(), so benches reusing one Gpu
- * across experiments get per-experiment values as long as they
- * markEpoch() between runs.
+ * Collapse a finished run on @p gpu, a fresh device per experiment,
+ * into a record: counters and collectors hold the whole run.
  */
 ExperimentRecord collectRecord(Gpu &gpu,
                                const ExperimentSpec &spec,

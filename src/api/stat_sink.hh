@@ -50,7 +50,7 @@ struct ExperimentRecord
      */
     std::map<std::string, double> metrics;
 
-    /** Selected per-epoch hardware counters (optional extras). */
+    /** Selected hardware counters (optional extras). */
     std::map<std::string, std::uint64_t> counters;
 
     /**

@@ -20,7 +20,7 @@ namespace gpulat {
 
 namespace {
 
-/** Shrink a bench-sized default by the makeAllWorkloads scale. */
+/** Shrink a bench-sized default by the registry scale. */
 std::uint64_t
 scaledSize(std::uint64_t full, std::uint64_t min, double scale)
 {
@@ -192,8 +192,7 @@ makeGemm(const ParamMap &p)
  * Register the built-in workloads. Registration is centralized
  * here (rather than self-registration statics in each workload's
  * .cc) so linking the static library can never drop an entry.
- * Registration order is the canonical bench-suite order of
- * makeAllWorkloads().
+ * Registration order is the order `gpulat list` prints.
  */
 WorkloadRegistry
 buildRegistry()
@@ -372,13 +371,11 @@ buildRegistry()
         [](ParamMap &m, double scale) {
             m.set("timedAccesses", scale >= 0.99 ? "2048" : "256");
         },
-        /*benchSuite=*/false,
     });
 
-    // Multi-tenant serving scenarios (src/serving). On-demand, not
-    // bench-suite: they exercise the serving layer, not a kernel
-    // pattern. Arrival streams and input data derive from the
-    // `seed` config override, not a workload parameter.
+    // Multi-tenant serving scenarios (src/serving). Arrival streams
+    // and input data derive from the `seed` config override, not a
+    // workload parameter.
     const std::vector<WorkloadParamSpec> serve_params = {
         {"tenants", "3", "number of tenants"},
         {"launches", "12", "launches per tenant"},
@@ -398,7 +395,6 @@ buildRegistry()
             return makeServe(ServingWorkload::Profile::Mixed, p);
         },
         serve_scale,
-        /*benchSuite=*/false,
     });
     reg.add({
         "serve.uniform",
@@ -409,7 +405,6 @@ buildRegistry()
             return makeServe(ServingWorkload::Profile::Uniform, p);
         },
         serve_scale,
-        /*benchSuite=*/false,
     });
     {
         auto closed_params = serve_params;
@@ -425,7 +420,6 @@ buildRegistry()
                 return makeServe(ServingWorkload::Profile::Closed, p);
             },
             serve_scale,
-            /*benchSuite=*/false,
         });
     }
 

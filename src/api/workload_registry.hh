@@ -41,19 +41,11 @@ struct WorkloadEntry
     std::function<std::unique_ptr<Workload>(const ParamMap &)> make;
 
     /**
-     * Fill @p map with the bench-suite defaults shrunk by
-     * @p scale in [0, 1] (used by makeAllWorkloads and quick CI
-     * runs). Only sets keys that differ from the factory defaults.
+     * Fill @p map with the bench-sized defaults shrunk by @p scale
+     * in [0, 1] (`gpulat run --scale`, quick test runs). Only sets
+     * keys that differ from the factory defaults.
      */
     std::function<void(ParamMap &map, double scale)> scaleDefaults;
-
-    /**
-     * Part of the multi-workload bench-suite set (makeAllWorkloads)?
-     * Microbenches like "pchase" register false: they probe the
-     * machine rather than exercise a kernel pattern, but stay fully
-     * addressable by name through create() and the CLI.
-     */
-    bool benchSuite = true;
 };
 
 class WorkloadRegistry
@@ -81,10 +73,7 @@ class WorkloadRegistry
     create(const std::string &name,
            const std::vector<std::string> &assignments) const;
 
-    /**
-     * The bench-suite defaults for @p name at @p scale, as a
-     * parameter map (what makeAllWorkloads runs).
-     */
+    /** The defaults for @p name at @p scale, as a parameter map. */
     ParamMap scaledParams(const std::string &name, double scale) const;
 
     void add(WorkloadEntry entry);

@@ -134,11 +134,4 @@ Cache::fill(Addr line_addr, Cycle now)
     return writeback;
 }
 
-void
-Cache::invalidateAll()
-{
-    for (auto &line : lines_)
-        line = Line{};
-}
-
 } // namespace gpulat

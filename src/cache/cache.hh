@@ -94,9 +94,6 @@ class Cache
     /** Mark a present line dirty (atomic RMW at this level). */
     void markDirty(Addr line_addr);
 
-    /** Drop everything (clean); dirty data is functional anyway. */
-    void invalidateAll();
-
     const CacheParams &params() const { return params_; }
 
     std::uint64_t hits() const { return hits_->value(); }

@@ -46,15 +46,13 @@ class MshrTable
      * @param max_merge max payloads (incl. primary) per line.
      * @param banks line-hash banks the entry budget is split over.
      * @param bank_entries per-bank entry budget (0: entries/banks).
-     * @param bank_merges per-line merge cap override (0: max_merge).
      * @param line_bytes line size feeding the line -> bank hash.
      */
     MshrTable(std::size_t entries, std::size_t max_merge,
               unsigned banks = 1, std::size_t bank_entries = 0,
-              std::size_t bank_merges = 0,
               std::uint32_t line_bytes = 1)
         : entries_(entries),
-          maxMerge_(bank_merges ? bank_merges : max_merge),
+          maxMerge_(max_merge),
           banks_(banks ? banks : 1),
           bankEntries_(bank_entries ? bank_entries
                                     : entries / (banks ? banks : 1)),

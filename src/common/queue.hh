@@ -116,9 +116,6 @@ class TimedQueue
     /** High-water mark of the occupancy. */
     std::size_t maxOccupancy() const { return maxOccupancy_; }
 
-    /** Drop all entries (used between kernel launches). */
-    void clear() { entries_.clear(); }
-
   private:
     struct Entry
     {

@@ -12,42 +12,6 @@ StatRegistry::counterValue(const std::string &name) const
 }
 
 void
-StatRegistry::markEpoch()
-{
-    epoch_.clear();
-    for (const auto &[name, c] : counters_)
-        epoch_[name] = c.value();
-    scalarEpoch_.clear();
-    for (const auto &[name, s] : scalars_)
-        scalarEpoch_[name] = ScalarDelta{s.sum(), s.count()};
-}
-
-std::uint64_t
-StatRegistry::counterSinceEpoch(const std::string &name) const
-{
-    const std::uint64_t value = counterValue(name);
-    auto it = epoch_.find(name);
-    return it == epoch_.end() ? value : value - it->second;
-}
-
-StatRegistry::ScalarDelta
-StatRegistry::scalarSinceEpoch(const std::string &name) const
-{
-    ScalarDelta delta;
-    auto it = scalars_.find(name);
-    if (it == scalars_.end())
-        return delta;
-    delta.sum = it->second.sum();
-    delta.count = it->second.count();
-    auto epoch = scalarEpoch_.find(name);
-    if (epoch != scalarEpoch_.end()) {
-        delta.sum -= epoch->second.sum;
-        delta.count -= epoch->second.count;
-    }
-    return delta;
-}
-
-void
 StatRegistry::dump(std::ostream &os) const
 {
     std::size_t width = 0;
@@ -65,16 +29,6 @@ StatRegistry::dump(std::ostream &os) const
            << "mean=" << s.mean() << " min=" << s.min()
            << " max=" << s.max() << " n=" << s.count() << "\n";
     }
-}
-
-void
-StatRegistry::reset()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-    for (auto &[name, s] : scalars_)
-        s.reset();
-    epoch_.clear();
 }
 
 } // namespace gpulat

@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics package: named counters, scalar averages and
- * linear/log histograms, grouped per hardware unit and dumpable as
- * text. Modeled loosely on gem5's Stats but kept dependency-free.
+ * Lightweight statistics package: named counters and scalar
+ * averages, grouped per hardware unit and dumpable as text. Modeled
+ * loosely on gem5's Stats but kept dependency-free.
  */
 
 #ifndef GPULAT_COMMON_STATS_HH
@@ -12,9 +12,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
-
-#include "common/log.hh"
 
 namespace gpulat {
 
@@ -24,7 +21,6 @@ class Counter
   public:
     void inc(std::uint64_t n = 1) { value_ += n; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -52,59 +48,12 @@ class ScalarStat
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    void reset() { *this = ScalarStat(); }
 
   private:
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-width linear histogram over [lo, hi); out-of-range samples go
- * to saturated edge buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets)
-        : lo_(lo), hi_(hi), counts_(buckets, 0)
-    {
-        GPULAT_ASSERT(hi > lo && buckets > 0, "bad histogram shape");
-    }
-
-    void
-    sample(double v)
-    {
-        std::size_t idx;
-        if (v < lo_) {
-            idx = 0;
-        } else if (v >= hi_) {
-            idx = counts_.size() - 1;
-        } else {
-            idx = static_cast<std::size_t>(
-                (v - lo_) / (hi_ - lo_) * counts_.size());
-            if (idx >= counts_.size())
-                idx = counts_.size() - 1;
-        }
-        ++counts_[idx];
-        scalar_.sample(v);
-    }
-
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    double bucketLo(std::size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * i / counts_.size();
-    }
-    double bucketHi(std::size_t i) const { return bucketLo(i + 1); }
-    const ScalarStat &scalar() const { return scalar_; }
-
-  private:
-    double lo_, hi_;
-    std::vector<std::uint64_t> counts_;
-    ScalarStat scalar_;
 };
 
 /**
@@ -136,42 +85,12 @@ class StatRegistry
     /** Value of a counter, 0 if absent. */
     std::uint64_t counterValue(const std::string &name) const;
 
-    /**
-     * Snapshot every counter and scalar, starting a new experiment
-     * epoch. The statistics themselves keep accumulating;
-     * counterSinceEpoch()/scalarSinceEpoch() read the deltas, so
-     * back-to-back experiments in one process can be compared
-     * without leaking each other's totals.
-     */
-    void markEpoch();
-
-    /** Counter delta since the last markEpoch() (0 if absent). */
-    std::uint64_t counterSinceEpoch(const std::string &name) const;
-
-    /** Scalar sum/count accumulated since the last markEpoch(). */
-    struct ScalarDelta
-    {
-        double sum = 0.0;
-        std::uint64_t count = 0;
-
-        double mean() const
-        {
-            return count ? sum / static_cast<double>(count) : 0.0;
-        }
-    };
-    ScalarDelta scalarSinceEpoch(const std::string &name) const;
-
     /** Render all statistics as aligned text. */
     void dump(std::ostream &os) const;
-
-    /** Zero everything (between kernels, if desired). */
-    void reset();
 
   private:
     std::map<std::string, Counter> counters_;
     std::map<std::string, ScalarStat> scalars_;
-    std::map<std::string, std::uint64_t> epoch_;
-    std::map<std::string, ScalarDelta> scalarEpoch_;
 };
 
 } // namespace gpulat

@@ -1,6 +1,7 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "common/log.hh"
@@ -77,6 +78,15 @@ scalePartitionLatencies(PartitionParams &p, ClockRatio l2,
     p.dram.ddr.tRFC = toCoreCycles(p.dram.ddr.tRFC, dram);
 }
 
+bool
+usesLocalMemory(const Kernel &kernel)
+{
+    for (const auto &inst : kernel.code)
+        if (inst.isMemory() && inst.space == MemSpace::Local)
+            return true;
+    return false;
+}
+
 } // namespace
 
 Gpu::Gpu(GpuConfig config)
@@ -91,7 +101,7 @@ Gpu::Gpu(GpuConfig config)
       reqEject_(reqNet_, partitions_),
       respInject_(partitions_, respNet_),
       respEject_(respNet_, sms_),
-      dispatcher_(sms_),
+      dispatcher_(sms_, active_),
       rng_(config_.seed)
 {
     PartitionParams part_params = config_.partition;
@@ -138,7 +148,7 @@ Gpu::Gpu(GpuConfig config)
     // append only to per-SM state (their own collector shards,
     // their own request-id pool, per-source crossbar inject
     // queues), so every SM gets its own group "sm<i>" — subject to
-    // the per-launch kernel safety analysis in launch(), which
+    // the per-launch kernel safety analysis in beginLaunch(), which
     // serializes SMs whose kernel could race on device memory
     // (functional execution happens at issue). Ports, crossbars and
     // the dispatcher move packets *between* groups, so they stay on
@@ -213,32 +223,6 @@ Gpu::copyFromDevice(void *dst, Addr src, std::uint64_t bytes) const
     dmem_.copyOut(src, dst, bytes);
 }
 
-void
-Gpu::invalidateCaches()
-{
-    for (auto &sm : sms_) {
-        GPULAT_ASSERT(!sm->busy() && sm->drained(),
-                      "experiment reset while SM busy");
-        sm->invalidateL1();
-    }
-    GPULAT_ASSERT(reqNet_.empty() && respNet_.empty(),
-                  "experiment reset while packets in the icnt");
-    for (auto &part : partitions_) {
-        GPULAT_ASSERT(part->drained(),
-                      "cache invalidate while requests in flight");
-        if (part->l2())
-            part->l2()->invalidateAll();
-        // Open rows and bus-busy state would hand the next
-        // experiment's first accesses stale row hits.
-        part->dram().reset();
-    }
-    latCollector_.clear();
-    expCollector_.clear();
-    stats_.markEpoch();
-    // DRAM open-row/bus state changed behind the engine's back.
-    engine_.wakeAll();
-}
-
 bool
 Gpu::allDrained() const
 {
@@ -260,9 +244,9 @@ Gpu::activitySignature() const
     // equality across a long window means a genuine stall. The
     // per-SM request pools sum to the old shared counter's value,
     // so the signature is numerically unchanged by the sharding.
-    std::uint64_t sig = dispatcher_.nextBlock();
-    for (const LaunchId id : partActive_)
-        sig += partLaunches_[id]->nextBlock;
+    std::uint64_t sig = 0;
+    for (const GridLaunch *launch : active_)
+        sig += launch->nextBlock;
     for (const auto &sm : sms_)
         sig += sm->requestsIssued();
     for (unsigned s = 0; s < config_.numSms; ++s) {
@@ -281,8 +265,17 @@ Gpu::activitySignature() const
     return sig;
 }
 
+std::uint64_t
+Gpu::issuedInstructions() const
+{
+    std::uint64_t sum = 0;
+    for (unsigned s = 0; s < config_.numSms; ++s)
+        sum += stats_.counterValue("sm" + std::to_string(s) + ".issued");
+    return sum;
+}
+
 std::string
-Gpu::stallReport(const std::string &kernel_name)
+Gpu::stallReport(const std::string &label)
 {
     // Close every lazy idle-accounting window first: under
     // perDomain fast-forward, sleeping components carry
@@ -293,10 +286,8 @@ Gpu::stallReport(const std::string &kernel_name)
     engine_.settle();
 
     std::ostringstream oss;
-    oss << "no forward progress at cycle " << engine_.now()
-        << " (kernel '" << kernel_name << "', dispatched "
-        << dispatcher_.nextBlock() << "/" << dispatcher_.numBlocks()
-        << " blocks)\n";
+    oss << "no forward progress at cycle " << engine_.now() << " in '"
+        << label << "'\n";
     oss << "  engine: now=" << engine_.now()
         << " steps=" << engine_.steps()
         << " ff_skipped=" << engine_.skippedCycles() << "\n";
@@ -313,14 +304,13 @@ Gpu::stallReport(const std::string &kernel_name)
         oss << "  engine.group." << engine_.groupName(g)
             << ": ticks_run=" << engine_.groupTicksRun(g) << "\n";
     }
-    if (!smParallelNote_.empty())
-        oss << "  sm-parallel: " << smParallelNote_ << "\n";
-    for (const LaunchId id : partActive_) {
-        const PartLaunch &pl = *partLaunches_[id];
-        oss << "  launch " << id << " ('" << pl.ctx.kernel->name
-            << "'): " << pl.nextBlock << "/" << pl.ctx.numBlocks
-            << " blocks on " << pl.smIds.size() << " SMs"
-            << (pl.serialized ? " [serialized]" : "") << "\n";
+    for (const GridLaunch *launch : active_) {
+        oss << "  launch '" << launch->ctx.kernel->name
+            << "': dispatched " << launch->nextBlock << "/"
+            << launch->ctx.numBlocks << " blocks on "
+            << launch->smIds.size() << " SMs, "
+            << (launch->serialized ? "serialized (" : "parallel (")
+            << launch->verdict.reason << ")\n";
     }
     oss << "  icnt: req=" << reqNet_.inFlight()
         << " resp=" << respNet_.inFlight() << " in flight\n";
@@ -373,74 +363,146 @@ Gpu::launch(const Kernel &kernel, unsigned num_blocks,
             unsigned threads_per_block,
             const std::vector<RegValue> &params)
 {
+    std::vector<unsigned> all_sms(config_.numSms);
+    std::iota(all_sms.begin(), all_sms.end(), 0u);
+    const LaunchId id = beginLaunch(kernel, num_blocks,
+                                    threads_per_block, params,
+                                    std::move(all_sms));
+    // run() also waits for the whole device to drain, so "every
+    // block dispatched" is enough here; launchDone() would walk
+    // every SM on every step.
+    const GridLaunch &grid = *launches_[id];
+    const LaunchResult result =
+        run([&grid] { return grid.allDispatched(); }, kernel.name);
+    retireLaunch(id);
+    return result;
+}
+
+Gpu::LaunchId
+Gpu::beginLaunch(const Kernel &kernel, unsigned num_blocks,
+                 unsigned threads_per_block,
+                 const std::vector<RegValue> &params,
+                 std::vector<unsigned> sm_ids)
+{
     validateLaunchShape(kernel, num_blocks, threads_per_block,
                         params.size());
-    GPULAT_ASSERT(partActive_.empty(),
-                  "launch() while partitioned launches active");
+    if (sm_ids.empty())
+        fatal("launch of '", kernel.name, "' with no SMs");
+    for (std::size_t i = 0; i < sm_ids.size(); ++i) {
+        const unsigned s = sm_ids[i];
+        if (s >= config_.numSms)
+            fatal("launch of '", kernel.name, "' names SM ", s, " of ",
+                  config_.numSms);
+        for (std::size_t j = i + 1; j < sm_ids.size(); ++j)
+            if (sm_ids[j] == s)
+                fatal("launch of '", kernel.name, "' names SM ", s,
+                      " twice");
+        for (const GridLaunch *other : active_)
+            for (const unsigned t : other->smIds)
+                if (t == s)
+                    fatal("SM ", s, " already owned by active launch "
+                          "of '", other->ctx.kernel->name, "'");
+        GPULAT_ASSERT(!sms_[s]->busy() && sms_[s]->drained(),
+                      "launch on a busy SM");
+    }
+    // The single local-memory backing store cannot be shared
+    // between concurrent grids, so a local-memory launch runs alone.
+    const bool uses_local = usesLocalMemory(kernel);
+    for (const GridLaunch *other : active_)
+        if (uses_local || usesLocalMemory(*other->ctx.kernel))
+            fatal("launch of '", kernel.name, "' beside '",
+                  other->ctx.kernel->name, "': a local-memory launch "
+                  "must run alone");
 
-    ctx_ = LaunchContext{};
-    ctx_.kernel = &kernel;
-    ctx_.numBlocks = num_blocks;
-    ctx_.threadsPerBlock = threads_per_block;
+    auto grid = std::make_unique<GridLaunch>();
+    grid->ctx.kernel = &kernel;
+    grid->ctx.numBlocks = num_blocks;
+    grid->ctx.threadsPerBlock = threads_per_block;
     for (std::size_t i = 0; i < params.size(); ++i)
-        ctx_.params[i] = params[i];
-    ctx_.totalThreads =
+        grid->ctx.params[i] = params[i];
+    grid->ctx.totalThreads =
         static_cast<std::uint64_t>(num_blocks) * threads_per_block;
-    ctx_.localBytesPerThread = config_.localBytesPerThread;
-
-    // Back the local space only if the kernel touches it.
-    bool uses_local = false;
-    for (const auto &inst : kernel.code)
-        if (inst.isMemory() && inst.space == MemSpace::Local)
-            uses_local = true;
+    grid->ctx.localBytesPerThread = config_.localBytesPerThread;
     if (uses_local) {
         if (localBase_ == kNoAddr ||
-            localAllocThreads_ != ctx_.totalThreads ||
-            localAllocBytes_ != ctx_.localBytesPerThread) {
+            localAllocThreads_ != grid->ctx.totalThreads ||
+            localAllocBytes_ != grid->ctx.localBytesPerThread) {
             localBase_ = dmem_.alloc(
-                ctx_.totalThreads * ctx_.localBytesPerThread,
+                grid->ctx.totalThreads * grid->ctx.localBytesPerThread,
                 config_.sm.lineBytes);
-            localAllocThreads_ = ctx_.totalThreads;
-            localAllocBytes_ = ctx_.localBytesPerThread;
+            localAllocThreads_ = grid->ctx.totalThreads;
+            localAllocBytes_ = grid->ctx.localBytesPerThread;
         }
-        ctx_.localBase = localBase_;
+        grid->ctx.localBase = localBase_;
     }
+    grid->smIds = std::move(sm_ids);
 
-    // Atomics forward their functional RMW to the owning partition,
-    // which executes them in a deterministic order whatever the
-    // tick schedule.
-    ctx_.forwardAtomics = true;
+    // Decide whether this launch may tick its SMs concurrently: it
+    // serializes when its own kernel is unsafe (data-dependent
+    // stores, potentially overlapping cross-block footprints) *or*
+    // its footprint may race with any active launch's. Only this
+    // launch's SMs are pinned — the coordinator joins every
+    // parallel section before ticking a serialized component
+    // inline, so one conservative tenant never races with (or slows
+    // the verdict of) its SM-parallel neighbours. The pin holds for
+    // the launch's whole lifetime: it is not re-evaluated when a
+    // conflicting neighbour retires first. Group tick *counters*
+    // stay with the declared groups either way, so records are
+    // identical across tickJobs regardless of the verdict.
+    grid->verdict = analyzeSmParallelSafety(
+        kernel, num_blocks, threads_per_block, grid->ctx.params);
+    verdict_ = grid->verdict;
+    bool serial = !grid->verdict.safe;
+    for (const GridLaunch *other : active_)
+        if (launchesMayConflict(grid->verdict, other->verdict))
+            serial = true;
+    grid->serialized = serial;
+    for (const unsigned s : grid->smIds)
+        engine_.setSerialized(*sms_[s], serial);
 
-    // Decide whether this launch may tick SMs concurrently: an
-    // unsafe kernel (data-dependent stores, potentially overlapping
-    // cross-block footprints) pins every SM to the coordinator for
-    // this launch. Group tick *counters* stay with the declared
-    // groups either way, so records are identical across tickJobs
-    // regardless of the verdict.
-    verdict_ = analyzeSmParallelSafety(kernel, num_blocks,
-                                       threads_per_block, ctx_.params);
-    smParallelNote_ = std::string(verdict_.safe ? "parallel ("
-                                                : "serialized (") +
-                      verdict_.reason + ")";
-    for (auto &sm : sms_)
-        engine_.setSerialized(*sm, !verdict_.safe);
-
-    dispatcher_.beginGrid(num_blocks);
-    for (auto &sm : sms_)
-        sm->startLaunch(&ctx_);
-    // Arming the dispatcher and loading warps happened outside the
-    // engine: cached promises cannot have seen it.
+    for (const unsigned s : grid->smIds)
+        sms_[s]->startLaunch(&grid->ctx);
+    // Binding contexts happened outside the engine: cached promises
+    // cannot have seen it.
     engine_.wakeAll();
 
-    const Cycle start = engine_.now();
-    const std::uint64_t instr_before =
-        [&] {
-            std::uint64_t sum = 0;
-            for (unsigned s = 0; s < config_.numSms; ++s)
-                sum += stats_.counterValue(
-                    "sm" + std::to_string(s) + ".issued");
-            return sum;
-        }();
+    const auto id = static_cast<LaunchId>(launches_.size());
+    active_.push_back(grid.get());
+    launches_.push_back(std::move(grid));
+    return id;
+}
+
+bool
+Gpu::launchDone(LaunchId id) const
+{
+    const GridLaunch &grid = *launches_[id];
+    if (!grid.allDispatched())
+        return false;
+    for (const unsigned s : grid.smIds)
+        if (sms_[s]->busy() || !sms_[s]->drained())
+            return false;
+    return true;
+}
+
+void
+Gpu::retireLaunch(LaunchId id)
+{
+    GridLaunch *grid = launches_[id].get();
+    const auto it = std::find(active_.begin(), active_.end(), grid);
+    GPULAT_ASSERT(it != active_.end(), "retiring an inactive launch");
+    GPULAT_ASSERT(launchDone(id), "retiring an unfinished launch");
+    active_.erase(it);
+    for (const unsigned s : grid->smIds)
+        engine_.setSerialized(*sms_[s], false);
+}
+
+LaunchResult
+Gpu::run(const std::function<bool()> &done, const std::string &label,
+         const std::function<std::uint64_t()> &progress)
+{
+    LaunchResult result;
+    result.startCycle = engine_.now();
+    const std::uint64_t instr_before = issuedInstructions();
 
     // Watchdog: the no-progress window is measured in *performed
     // engine steps* (TickEngine::steps()), never in core cycles —
@@ -450,24 +512,30 @@ Gpu::launch(const Kernel &kernel, unsigned num_blocks,
     // (the stuck component stays "due") with a frozen signature,
     // so it is still caught in every mode, including Off, where
     // steps and cycles coincide. Panics with a per-layer report.
+    const auto signature = [&] {
+        std::uint64_t sig = activitySignature();
+        if (progress)
+            sig += 0x9e3779b97f4a7c15ull * progress();
+        return sig;
+    };
     const std::uint64_t stall_steps = config_.engine.watchdogStallSteps;
-    std::uint64_t last_sig = activitySignature();
+    std::uint64_t last_sig = signature();
     std::uint64_t last_progress_step = engine_.steps();
     std::uint64_t iters = 0;
 
-    while (!dispatcher_.allDispatched() || !allDrained()) {
+    while (!done() || !allDrained()) {
         engine_.step();
         engine_.fastForward(); // no-op in IdleFastForward::Off
 
         if ((++iters & 0x3fffu) == 0) {
-            const std::uint64_t sig = activitySignature();
+            const std::uint64_t sig = signature();
             if (sig != last_sig) {
                 last_sig = sig;
                 last_progress_step = engine_.steps();
             } else if (stall_steps != 0 &&
                        engine_.steps() - last_progress_step >
                            stall_steps) {
-                panic(stallReport(kernel.name));
+                panic(stallReport(label));
             }
         }
     }
@@ -476,170 +544,10 @@ Gpu::launch(const Kernel &kernel, unsigned num_blocks,
     // anything reads per-cycle statistics.
     engine_.settle();
 
-    LaunchResult result;
-    result.startCycle = start;
     result.endCycle = engine_.now();
-    result.cycles = engine_.now() - start;
-    std::uint64_t instr_after = 0;
-    for (unsigned s = 0; s < config_.numSms; ++s)
-        instr_after += stats_.counterValue(
-            "sm" + std::to_string(s) + ".issued");
-    result.instructions = instr_after - instr_before;
+    result.cycles = result.endCycle - result.startCycle;
+    result.instructions = issuedInstructions() - instr_before;
     return result;
-}
-
-Gpu::LaunchId
-Gpu::beginPartitionedLaunch(const Kernel &kernel, unsigned num_blocks,
-                            unsigned threads_per_block,
-                            const std::vector<RegValue> &params,
-                            std::vector<unsigned> sm_ids)
-{
-    validateLaunchShape(kernel, num_blocks, threads_per_block,
-                        params.size());
-    if (sm_ids.empty())
-        fatal("partitioned launch of '", kernel.name,
-              "' with no SMs");
-    for (std::size_t i = 0; i < sm_ids.size(); ++i) {
-        const unsigned s = sm_ids[i];
-        if (s >= config_.numSms)
-            fatal("partitioned launch of '", kernel.name,
-                  "' names SM ", s, " of ", config_.numSms);
-        for (std::size_t j = i + 1; j < sm_ids.size(); ++j)
-            if (sm_ids[j] == s)
-                fatal("partitioned launch of '", kernel.name,
-                      "' names SM ", s, " twice");
-        for (const LaunchId other : partActive_)
-            for (const unsigned t : partLaunches_[other]->smIds)
-                if (t == s)
-                    fatal("SM ", s, " already owned by active "
-                          "launch ", other);
-        GPULAT_ASSERT(!sms_[s]->busy() && sms_[s]->drained(),
-                      "partitioned launch on a busy SM");
-    }
-    // Concurrent grids would have to share the single local-memory
-    // backing store; no serving kernel needs local space.
-    for (const auto &inst : kernel.code)
-        if (inst.isMemory() && inst.space == MemSpace::Local)
-            fatal("kernel '", kernel.name, "' uses local memory; "
-                  "unsupported for concurrent launches");
-
-    auto pl = std::make_unique<PartLaunch>();
-    pl->ctx.kernel = &kernel;
-    pl->ctx.numBlocks = num_blocks;
-    pl->ctx.threadsPerBlock = threads_per_block;
-    for (std::size_t i = 0; i < params.size(); ++i)
-        pl->ctx.params[i] = params[i];
-    pl->ctx.totalThreads =
-        static_cast<std::uint64_t>(num_blocks) * threads_per_block;
-    pl->ctx.localBytesPerThread = config_.localBytesPerThread;
-    pl->ctx.forwardAtomics = true;
-    pl->smIds = std::move(sm_ids);
-    pl->active = true;
-
-    // Per-launch safety, composed across the resident set: this
-    // launch serializes when its own kernel is unsafe *or* its
-    // footprint may race with any active launch's. Only this
-    // launch's SMs are pinned — the coordinator joins every
-    // parallel section before ticking a serialized component
-    // inline, so one conservative tenant never races with (or slows
-    // the verdict of) its SM-parallel neighbours. The pin is
-    // conservative across the launch's whole lifetime: it is not
-    // re-evaluated when a conflicting neighbour retires first.
-    pl->verdict = analyzeSmParallelSafety(
-        kernel, num_blocks, threads_per_block, pl->ctx.params);
-    verdict_ = pl->verdict;
-    bool serial = !pl->verdict.safe;
-    for (const LaunchId other : partActive_)
-        if (launchesMayConflict(pl->verdict,
-                                partLaunches_[other]->verdict))
-            serial = true;
-    pl->serialized = serial;
-    for (const unsigned s : pl->smIds)
-        engine_.setSerialized(*sms_[s], serial);
-    smParallelNote_ = "launch '" + kernel.name + "' " +
-                      (serial ? "serialized (" : "parallel (") +
-                      pl->verdict.reason + ")";
-
-    for (const unsigned s : pl->smIds)
-        sms_[s]->startLaunch(&pl->ctx);
-    // Binding contexts happened outside the engine: cached promises
-    // cannot have seen it.
-    engine_.wakeAll();
-
-    const auto id = static_cast<LaunchId>(partLaunches_.size());
-    partLaunches_.push_back(std::move(pl));
-    partActive_.push_back(id);
-    return id;
-}
-
-bool
-Gpu::partitionedLaunchDone(LaunchId id) const
-{
-    const PartLaunch &pl = *partLaunches_[id];
-    GPULAT_ASSERT(pl.active, "done query on a retired launch");
-    if (pl.nextBlock < pl.ctx.numBlocks)
-        return false;
-    for (const unsigned s : pl.smIds)
-        if (sms_[s]->busy() || !sms_[s]->drained())
-            return false;
-    return true;
-}
-
-void
-Gpu::retirePartitionedLaunch(LaunchId id)
-{
-    GPULAT_ASSERT(partitionedLaunchDone(id),
-                  "retiring an unfinished launch");
-    PartLaunch &pl = *partLaunches_[id];
-    pl.active = false;
-    for (const unsigned s : pl.smIds)
-        engine_.setSerialized(*sms_[s], false);
-    partActive_.erase(
-        std::find(partActive_.begin(), partActive_.end(), id));
-}
-
-void
-Gpu::tickPartitionedDispatch(Cycle now)
-{
-    for (const LaunchId id : partActive_) {
-        PartLaunch &pl = *partLaunches_[id];
-        if (pl.nextBlock >= pl.ctx.numBlocks)
-            continue;
-        // Up to one block per owned SM per cycle, like the
-        // single-launch BlockDispatcher. The rotation offset is
-        // `now % n` rather than a tick-counted rotor so skipped
-        // scheduler cycles (which can never dispatch — no SM had
-        // room) do not shift later dispatch decisions between
-        // fast-forward modes.
-        const std::size_t n = pl.smIds.size();
-        const auto start = static_cast<std::size_t>(now % n);
-        for (std::size_t k = 0;
-             k < n && pl.nextBlock < pl.ctx.numBlocks; ++k) {
-            SmCore &sm = *sms_[pl.smIds[(start + k) % n]];
-            if (sm.canAcceptBlock())
-                sm.dispatchBlock(pl.nextBlock++);
-        }
-    }
-}
-
-bool
-Gpu::partitionedDispatchReady() const
-{
-    for (const LaunchId id : partActive_) {
-        const PartLaunch &pl = *partLaunches_[id];
-        if (pl.nextBlock >= pl.ctx.numBlocks)
-            continue;
-        for (const unsigned s : pl.smIds)
-            if (sms_[s]->canAcceptBlock())
-                return true;
-    }
-    return false;
-}
-
-bool
-Gpu::partitionedSerialized(LaunchId id) const
-{
-    return partLaunches_[id]->serialized;
 }
 
 } // namespace gpulat

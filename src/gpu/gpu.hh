@@ -23,6 +23,7 @@
 #ifndef GPULAT_GPU_GPU_HH
 #define GPULAT_GPU_GPU_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,7 +64,8 @@ class Gpu
     /** @} */
 
     /**
-     * Launch a kernel and simulate to completion (drained pipelines).
+     * Launch a kernel on every SM and simulate to completion
+     * (drained pipelines): beginLaunch(), run(), retireLaunch().
      *
      * @param kernel finalized kernel.
      * @param num_blocks 1-D grid size.
@@ -75,61 +77,52 @@ class Gpu
                         const std::vector<RegValue> &params);
 
     /**
-     * @name Concurrent (partitioned) kernel launches
+     * @name Launches
      *
-     * The serving layer's path: several kernels resident at once,
-     * each restricted to its own set of SMs, driven by an external
-     * run loop (the caller steps the engine; launch() keeps its
-     * one-kernel-at-a-time semantics untouched). A launch is begun,
-     * its blocks are dispatched from a Clocked tick via
-     * tickPartitionedDispatch(), completion is polled with
-     * partitionedLaunchDone(), and retirePartitionedLaunch() frees
-     * the SMs for the next admission. The per-launch safety verdict
-     * (kernel_analysis.hh) is composed against every other active
-     * launch's footprint, and setSerialized() pins only *this*
-     * launch's SMs when it is unsafe or the footprints may overlap
-     * — an unsafe tenant never costs its neighbours their SM
-     * parallelism. Kernels and param vectors must outlive the
-     * launch; local-memory kernels are rejected (the single backing
-     * store cannot be shared between concurrent grids).
+     * Every grid starts in beginLaunch(), on an explicit set of SMs;
+     * several launches may be resident at once on disjoint sets (the
+     * serving layer's path, with its own completion condition for
+     * run()). The BlockDispatcher hands out each active launch's
+     * blocks from the next core cycle on, launchDone() polls
+     * completion, and retireLaunch() frees the SMs. The per-launch
+     * safety verdict (kernel_analysis.hh) is composed against every
+     * other active launch's footprint, and setSerialized() pins only
+     * *this* launch's SMs when it is unsafe or the footprints may
+     * overlap — an unsafe tenant never costs its neighbours their SM
+     * parallelism. Kernels must outlive the launch. A local-memory
+     * launch must run alone: the single backing store cannot be
+     * shared between concurrent grids.
      * @{
      */
     using LaunchId = std::uint32_t;
 
     /** Begin a launch on @p sm_ids (must be idle and unowned). */
-    LaunchId beginPartitionedLaunch(const Kernel &kernel,
-                                    unsigned num_blocks,
-                                    unsigned threads_per_block,
-                                    const std::vector<RegValue> &params,
-                                    std::vector<unsigned> sm_ids);
+    LaunchId beginLaunch(const Kernel &kernel, unsigned num_blocks,
+                         unsigned threads_per_block,
+                         const std::vector<RegValue> &params,
+                         std::vector<unsigned> sm_ids);
 
     /** All blocks dispatched and every owned SM idle and drained? */
-    bool partitionedLaunchDone(LaunchId id) const;
+    bool launchDone(LaunchId id) const;
 
     /** Release a done launch's SMs (and its serialization pin). */
-    void retirePartitionedLaunch(LaunchId id);
+    void retireLaunch(LaunchId id);
 
     /**
-     * Dispatch up to one block per owned SM per active launch for
-     * this cycle. Called from the scheduler component's tick; the
-     * per-launch rotation offset derives from @p now, not a
-     * tick-counted rotor, so dispatch decisions are identical in
-     * every idle-fast-forward mode.
+     * Step the engine until @p done() holds and the device has
+     * drained, under the no-progress watchdog, then settle the
+     * engine. @p progress (optional) folds the caller's own progress
+     * into the watchdog signature; @p label names the run in the
+     * stall report. The result spans the whole run.
      */
-    void tickPartitionedDispatch(Cycle now);
-
-    /** Any active launch with undispatched blocks and SM room? */
-    bool partitionedDispatchReady() const;
-
-    bool anyPartitionedActive() const { return !partActive_.empty(); }
-
-    /** This launch's composed setSerialized() decision (tests). */
-    bool partitionedSerialized(LaunchId id) const;
+    LaunchResult run(const std::function<bool()> &done,
+                     const std::string &label,
+                     const std::function<std::uint64_t()> &progress = {});
     /** @} */
 
     /** @name Instrumentation @{ */
-    /** SM-parallel safety verdict of the most recent launch (either
-     *  flavour); default-constructed before any launch. */
+    /** SM-parallel safety verdict of the most recent launch;
+     *  default-constructed before any launch. */
     const SmParallelVerdict &lastVerdict() const { return verdict_; }
     StatRegistry &stats() { return stats_; }
     LatencyCollector &latencies() { return latCollector_; }
@@ -145,50 +138,28 @@ class Gpu
     Rng &rng() { return rng_; }
     /** @} */
 
-    /** @name External-run-loop support (serving sessions) @{ */
-    /** Every SM, network and partition empty and idle. */
-    bool allDrained() const;
-    /** Watchdog progress signature: changes whenever any packet
-     *  moves or any instruction issues anywhere on the device. */
-    std::uint64_t activitySignature() const;
-    /** Per-layer diagnostics for a watchdog panic; settles the
-     *  engine first so idle/occupancy cycle totals are current. */
-    std::string stallReport(const std::string &kernel_name);
-    /** @} */
-
     Cycle now() const { return engine_.now(); }
     const GpuConfig &config() const { return config_; }
     SmCore &sm(unsigned i) { return *sms_[i]; }
     MemPartition &partition(unsigned i) { return *partitions_[i]; }
 
-    /**
-     * Reset experiment-visible device state between back-to-back
-     * experiments in one process: invalidate all L1s/L2s, drop DRAM
-     * open-row/bus state, clear the latency and exposure
-     * collectors, and mark a new stat epoch (read per-experiment
-     * counters via StatRegistry::counterSinceEpoch()). Requires all
-     * pipelines drained; launch() guarantees that on return.
-     */
-    void invalidateCaches();
-
   private:
-    /** Shape/resource checks shared by both launch paths. */
+    /** Shape/resource checks of a launch. */
     void validateLaunchShape(const Kernel &kernel,
                              unsigned num_blocks,
                              unsigned threads_per_block,
                              std::size_t num_params) const;
 
-    /** One concurrent launch: address-stable context (SMs keep a
-     *  raw pointer), owned SMs, dispatch cursor, safety verdict. */
-    struct PartLaunch
-    {
-        LaunchContext ctx;
-        std::vector<unsigned> smIds;
-        unsigned nextBlock = 0;
-        bool active = false;
-        bool serialized = false;
-        SmParallelVerdict verdict;
-    };
+    /** Every SM, network and partition empty and idle. */
+    bool allDrained() const;
+    /** Watchdog progress signature: changes whenever any packet
+     *  moves, any block dispatches or any instruction issues. */
+    std::uint64_t activitySignature() const;
+    /** Per-layer diagnostics for a watchdog panic; settles the
+     *  engine first so idle/occupancy cycle totals are current. */
+    std::string stallReport(const std::string &label);
+    /** Warp instructions issued so far, summed over SMs. */
+    std::uint64_t issuedInstructions() const;
 
     GpuConfig config_;
     StatRegistry stats_;
@@ -201,6 +172,12 @@ class Gpu
     std::vector<std::unique_ptr<MemPartition>> partitions_;
     std::vector<std::unique_ptr<SmCore>> sms_;
 
+    /** Every launch ever begun (ids are indices; never freed, so the
+     *  contexts SMs point at stay valid) and the active ones in
+     *  admission order, which the dispatcher walks. */
+    std::vector<std::unique_ptr<GridLaunch>> launches_;
+    std::vector<GridLaunch *> active_;
+
     /** @name Engine wiring @{ */
     TickEngine engine_;
     NetToPartitionPort reqEject_;
@@ -211,19 +188,8 @@ class Gpu
     std::vector<std::unique_ptr<PartitionL2Side>> partL2Sides_;
     /** @} */
 
-    /** Verdict of the current launch's SM-parallel safety analysis
-     *  (kernel_analysis.hh); shown in watchdog stall reports. */
-    std::string smParallelNote_;
     /** Full verdict of the most recent launch (record metrics). */
     SmParallelVerdict verdict_;
-
-    LaunchContext ctx_;
-
-    /** All partitioned launches ever begun (ids are indices; never
-     *  reused, so contexts stay address-stable) and the ids of the
-     *  currently active ones in admission order. */
-    std::vector<std::unique_ptr<PartLaunch>> partLaunches_;
-    std::vector<LaunchId> partActive_;
 
     Rng rng_;
 

@@ -5,42 +5,32 @@ namespace gpulat {
 void
 BlockDispatcher::tick(Cycle now)
 {
-    (void)now;
-    const unsigned num_sms = static_cast<unsigned>(sms_.size());
-    for (unsigned k = 0;
-         k < num_sms && nextBlock_ < numBlocks_; ++k) {
-        const unsigned s = (rr_ + k) % num_sms;
-        if (sms_[s]->canAcceptBlock()) {
-            sms_[s]->dispatchBlock(nextBlock_++);
+    for (GridLaunch *launch : active_) {
+        const std::size_t n = launch->smIds.size();
+        for (std::size_t k = 0; k < n && !launch->allDispatched(); ++k) {
+            SmCore &sm = *sms_[launch->smIds[(now + k) % n]];
+            if (sm.canAcceptBlock())
+                sm.dispatchBlock(launch->nextBlock++);
         }
     }
-    rr_ = (rr_ + 1) % num_sms;
 }
 
 Cycle
 BlockDispatcher::nextEventAt(Cycle now) const
 {
-    if (allDispatched())
-        return kNoCycle;
-    // Blocks remain: dispatch happens the moment an SM has room.
-    // If none has, room only appears when a resident block retires
-    // — an SM-side event, so it is safe to report idle here (the
-    // Gpu declares an SM -> dispatcher wake edge, so a retirement
-    // discards this promise before it could go stale).
-    for (const auto &sm : sms_)
-        if (sm->canAcceptBlock())
-            return now;
+    // Blocks remain: dispatch happens the moment an owned SM has
+    // room. If none has, room only appears when a resident block
+    // retires — an SM-side event, so it is safe to report idle here
+    // (the Gpu declares an SM -> dispatcher wake edge, so a
+    // retirement discards this promise before it could go stale).
+    for (const GridLaunch *launch : active_) {
+        if (launch->allDispatched())
+            continue;
+        for (const unsigned s : launch->smIds)
+            if (sms_[s]->canAcceptBlock())
+                return now;
+    }
     return kNoCycle;
-}
-
-void
-BlockDispatcher::fastForward(Cycle from, Cycle to)
-{
-    // The rotor advances once per core cycle in tick(); keep it
-    // spinning through the skipped window for bit-identical
-    // round-robin state afterwards.
-    const unsigned num_sms = static_cast<unsigned>(sms_.size());
-    rr_ = static_cast<unsigned>((rr_ + (to - from)) % num_sms);
 }
 
 } // namespace gpulat

@@ -2,7 +2,7 @@
  * @file
  * Timed-port adapters: the small Clocked components that move
  * packets between the big models (crossbars, partitions, SMs) and
- * dispatch thread blocks.
+ * dispatch thread blocks of the active launches.
  *
  * Each adapter is registered in the *consumer's* clock domain — a
  * packet crosses into a domain when that domain clocks it in, which
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "engine/clocked.hh"
+#include "gpu/kernel_analysis.hh"
 #include "icnt/crossbar.hh"
 #include "mem/partition.hh"
 #include "mem/request.hh"
@@ -183,43 +184,51 @@ class PartitionL2Side : public Clocked
 };
 
 /**
- * Grid dispatcher: up to one block per SM per core cycle,
- * round-robin over SMs. The rotor advances every core cycle
- * (dispatched or not, grid exhausted or not) exactly like the
- * hand-written loop it replaced, so launch-to-launch state is
- * bit-identical — fastForward() keeps it rotating through skipped
- * windows.
+ * One grid launch: the context its SMs bind to (address-stable, SMs
+ * keep a raw pointer), the SMs it owns, its dispatch cursor and the
+ * SM-parallel safety verdict its SMs tick under.
+ */
+struct GridLaunch
+{
+    LaunchContext ctx;
+    std::vector<unsigned> smIds;
+    unsigned nextBlock = 0;
+    bool serialized = false;
+    SmParallelVerdict verdict;
+
+    bool allDispatched() const { return nextBlock >= ctx.numBlocks; }
+};
+
+/**
+ * Grid dispatcher for every active launch: up to one block per
+ * owned SM per core cycle, round-robin over the launch's SMs from
+ * offset `now % n`. The offset derives from the cycle, not a
+ * tick-counted rotor, so cycles the engine skipped (no owned SM had
+ * room, so none could dispatch) do not shift later decisions
+ * between fast-forward modes.
+ *
+ * Registered after the SMs, and the serving scheduler after it: a
+ * launch begun during cycle t receives blocks from t+1 on, after
+ * its SMs have performed a real tick with the bound context.
+ * Dispatching into an SM whose scheduled tick this cycle was
+ * skipped would make its lazily flushed idle window non-idle,
+ * diverging per-cycle statistics between fast-forward modes.
  */
 class BlockDispatcher : public Clocked
 {
   public:
-    explicit BlockDispatcher(
-        std::vector<std::unique_ptr<SmCore>> &sms)
-        : sms_(sms)
+    BlockDispatcher(std::vector<std::unique_ptr<SmCore>> &sms,
+                    const std::vector<GridLaunch *> &active)
+        : sms_(sms), active_(active)
     {
     }
-
-    /** Arm the dispatcher for a new grid (the rotor persists). */
-    void
-    beginGrid(unsigned num_blocks)
-    {
-        numBlocks_ = num_blocks;
-        nextBlock_ = 0;
-    }
-
-    bool allDispatched() const { return nextBlock_ >= numBlocks_; }
-    unsigned nextBlock() const { return nextBlock_; }
-    unsigned numBlocks() const { return numBlocks_; }
 
     void tick(Cycle now) override;
     Cycle nextEventAt(Cycle now) const override;
-    void fastForward(Cycle from, Cycle to) override;
 
   private:
     std::vector<std::unique_ptr<SmCore>> &sms_;
-    unsigned numBlocks_ = 0;
-    unsigned nextBlock_ = 0;
-    unsigned rr_ = 0;
+    const std::vector<GridLaunch *> &active_;
 };
 
 } // namespace gpulat

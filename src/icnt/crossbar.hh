@@ -186,15 +186,6 @@ class Crossbar : public Clocked
         return true;
     }
 
-    void
-    clear()
-    {
-        for (auto &in : inputs_)
-            in.queue.clear();
-        for (auto &out : outputs_)
-            out.clear();
-    }
-
   private:
     struct Packet
     {

@@ -129,16 +129,6 @@ class LatencyCollector
         return total;
     }
 
-    void
-    clear()
-    {
-        for (Shard &shard : shards_) {
-            shard.tags.clear();
-            shard.records.clear();
-        }
-        merged_.clear();
-    }
-
     /** Enable/disable recording (microbenchmark warm-up rounds). */
     void setEnabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
@@ -199,16 +189,6 @@ class ExposureCollector
         for (const Shard &shard : shards_)
             total += shard.records.size();
         return total;
-    }
-
-    void
-    clear()
-    {
-        for (Shard &shard : shards_) {
-            shard.tags.clear();
-            shard.records.clear();
-        }
-        merged_.clear();
     }
 
   private:

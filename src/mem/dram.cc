@@ -256,23 +256,4 @@ DramChannel::schedule(Addr line_addr, bool is_write, Cycle now)
     return done;
 }
 
-void
-DramChannel::reset()
-{
-    for (auto &bank : banks_)
-        bank = Bank{};
-    for (Rank &rank : ranks_) {
-        rank.actWindow.clear();
-        rank.lastActAt = 0;
-        rank.lastActValid = false;
-        std::fill(rank.groupActAt.begin(), rank.groupActAt.end(), 0);
-        rank.groupActValid.assign(rank.groupActValid.size(), false);
-    }
-    busFreeAt_ = 0;
-    lastReadEnd_ = 0;
-    lastReadValid_ = false;
-    lastWriteEnd_ = 0;
-    lastWriteValid_ = false;
-}
-
 } // namespace gpulat

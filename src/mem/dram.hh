@@ -138,10 +138,6 @@ class DramChannel
     /** Refresh stall cycles charged so far. */
     std::uint64_t refreshStallCycles() const;
 
-    /** Drop open rows / busy state (between experiments). Refresh
-     *  epochs are a function of the absolute cycle, which keeps
-     *  running, so the refresh state survives. */
-    void reset();
 
   private:
     struct Bank

@@ -23,7 +23,7 @@ MemPartition::MemPartition(unsigned id, const PartitionParams &params,
                   params.l2MissLatency),
       l2Mshr_(params.l2MshrEntries, params.l2MshrMaxMerge,
               params.l2MshrBanks, params.l2MshrBankEntries,
-              params.l2MshrBankMerges, params.lineBytes),
+              params.lineBytes),
       dram_("part" + std::to_string(id) + ".dram", params.dram, stats),
       returnQueue_(params.returnQueueSize, params.returnQueueLatency)
 {
@@ -44,12 +44,12 @@ MemPartition::MemPartition(unsigned id, const PartitionParams &params,
 void
 MemPartition::accept(Cycle now, MemRequest req)
 {
-    // Forwarded atomics RMW here, not at SM issue: accept() runs
-    // while the coordinator group drains the request network, and
-    // the crossbar's per-source FIFOs + per-destination round-robin
+    // Atomics RMW here, not at SM issue: accept() runs while the
+    // coordinator group drains the request network, and the
+    // crossbar's per-source FIFOs + per-destination round-robin
     // make the arrival order schedule-invariant — so the functional
     // outcome cannot depend on how SMs are grouped into tick jobs.
-    if (req.forwardAtomic && req.isAtomic && dmem_) {
+    if (req.isAtomic && dmem_) {
         const std::uint64_t old = dmem_->read64(req.atomAddr);
         std::uint64_t next = 0;
         switch (req.atomOp) {

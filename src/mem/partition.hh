@@ -60,8 +60,6 @@ struct PartitionParams
     unsigned l2MshrBanks = 1;
     /** Entries per bank (0: l2MshrEntries / l2MshrBanks). */
     std::size_t l2MshrBankEntries = 0;
-    /** Per-line merge cap override (0: l2MshrMaxMerge). */
-    std::size_t l2MshrBankMerges = 0;
 
     std::size_t dramQueueSize = 32;
     DramSchedPolicy sched = DramSchedPolicy::FRFCFS;
@@ -89,9 +87,8 @@ class MemPartition
 {
   public:
     /**
-     * @param dmem functional device memory for forwarded atomic
-     *        RMWs (may be null: unit tests and configurations that
-     *        never forward atomics).
+     * @param dmem functional device memory for atomic RMWs (may
+     *        be null: unit tests that send no atomics).
      */
     MemPartition(unsigned id, const PartitionParams &params,
                  StatRegistry *stats, DeviceMemory *dmem = nullptr);

@@ -54,18 +54,17 @@ struct MemRequest
     bool isWriteback = false;
 
     /**
-     * @name Forwarded atomic (one lane per request)
+     * @name Atomic operand (one lane per request)
      *
-     * When set, the functional read-modify-write is performed by the
-     * owning MemPartition::accept() — which runs under the
+     * The functional read-modify-write of an atomic is performed by
+     * the owning MemPartition::accept() — which runs under the
      * coordinator barrier, so the RMW order is the crossbar's
-     * schedule-invariant arrival order — instead of at SM issue.
-     * This is what lets kernels with atomics tick SM-parallel.
-     * The partition fills @p atomResult with the pre-RMW value; the
-     * SM writes it to the destination register lane on response.
+     * schedule-invariant arrival order — not at SM issue. This is
+     * what lets kernels with atomics tick SM-parallel. The
+     * partition fills @p atomResult with the pre-RMW value; the SM
+     * writes it to the destination register lane on response.
      * @{
      */
-    bool forwardAtomic = false;
     Addr atomAddr = kNoAddr;       ///< exact byte address of the RMW
     AtomOp atomOp = AtomOp::Add;
     unsigned atomLane = 0;         ///< issuing lane in the warp

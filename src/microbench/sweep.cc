@@ -37,6 +37,9 @@ sweepFootprints(const GpuConfig &cfg,
         pc.timedAccesses = opts.timedAccesses;
         pc.warmup = fp <= opts.warmupMaxFootprint;
         const PChaseResult r = runPointerChase(gpu, pc);
+        if (!r.chainOk)
+            fatal("pointer chase at footprint ", fp,
+                  " B did not follow its chain");
         curve.push_back(LatencyCurvePoint{fp, r.cyclesPerAccess});
     }
     return curve;
@@ -61,6 +64,9 @@ sweepStrides(const GpuConfig &cfg, std::uint64_t footprint_bytes,
         pc.timedAccesses = opts.timedAccesses;
         pc.warmup = footprint_bytes <= opts.warmupMaxFootprint;
         const PChaseResult r = runPointerChase(gpu, pc);
+        if (!r.chainOk)
+            fatal("pointer chase at stride ", stride, " B (footprint ",
+                  footprint_bytes, " B) did not follow its chain");
         curve.push_back(StrideCurvePoint{stride, r.cyclesPerAccess});
     }
     return curve;

@@ -38,7 +38,8 @@ std::vector<std::uint64_t> footprintLadder(std::uint64_t lo,
 
 /**
  * Measure one latency-vs-footprint curve on configuration @p cfg.
- * A fresh Gpu is constructed per point.
+ * A fresh Gpu is constructed per point; fatal() if a point's chase
+ * did not follow its chain (PChaseResult::chainOk).
  */
 std::vector<LatencyCurvePoint>
 sweepFootprints(const GpuConfig &cfg,
@@ -49,7 +50,8 @@ sweepFootprints(const GpuConfig &cfg,
  * Measure a latency-vs-stride curve at a fixed footprint (the
  * paper's "varying both the stride as well as footprint"); with the
  * footprint above a cache's capacity the curve saturates at the
- * line size (see detectLineSize()).
+ * line size (see detectLineSize()). fatal() on an unverified point,
+ * like sweepFootprints().
  */
 std::vector<StrideCurvePoint>
 sweepStrides(const GpuConfig &cfg, std::uint64_t footprint_bytes,

@@ -144,13 +144,13 @@ void
 LaunchQueueScheduler::reapCompletions(Cycle now)
 {
     for (std::size_t i = 0; i < active_.size();) {
-        if (!gpu_.partitionedLaunchDone(active_[i].id)) {
+        if (!gpu_.launchDone(active_[i].id)) {
             ++i;
             continue;
         }
         const ActiveLaunch al = std::move(active_[i]);
         active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
-        gpu_.retirePartitionedLaunch(al.id);
+        gpu_.retireLaunch(al.id);
         for (const unsigned s : al.sms)
             smBusy_[s] = false;
         tenants_[al.tenant].attained +=
@@ -206,9 +206,9 @@ LaunchQueueScheduler::admitLaunches(Cycle now)
         al.arrival = q.arrival;
         al.admit = now;
         al.sms = sms;
-        al.id = gpu_.beginPartitionedLaunch(*sh.kernel, sh.numBlocks,
-                                            sh.threadsPerBlock,
-                                            sh.params, std::move(sms));
+        al.id = gpu_.beginLaunch(*sh.kernel, sh.numBlocks,
+                                 sh.threadsPerBlock, sh.params,
+                                 std::move(sms));
         active_.push_back(std::move(al));
         if (sv.policy == ServePolicy::Rr)
             rrCursor_ = (q.tenant + 1) %
@@ -222,27 +222,20 @@ LaunchQueueScheduler::admitLaunches(Cycle now)
 void
 LaunchQueueScheduler::tick(Cycle now)
 {
+    // The BlockDispatcher ticks before this component, so a launch
+    // admitted here receives its first blocks next cycle.
     reapCompletions(now);
     collectArrivals(now);
-    // Dispatch before admitting: a launch admitted this tick only
-    // receives blocks from the next tick on, after its SMs have
-    // performed a real tick with the bound context. Dispatching
-    // into an SM whose scheduled tick this cycle was skipped would
-    // make the lazily-flushed idle window non-idle, diverging
-    // per-cycle statistics between fast-forward modes.
-    gpu_.tickPartitionedDispatch(now);
     admitLaunches(now);
 }
 
 Cycle
 LaunchQueueScheduler::nextEventAt(Cycle now) const
 {
-    // Reap/dispatch work pending right now?
+    // A launch to reap right now?
     for (const auto &al : active_)
-        if (gpu_.partitionedLaunchDone(al.id))
+        if (gpu_.launchDone(al.id))
             return now;
-    if (gpu_.partitionedDispatchReady())
-        return now;
     // Next arrival over all streams (kNoCycle when dry/waiting).
     Cycle next = kNoCycle;
     for (const auto &s : streams_)

@@ -7,13 +7,14 @@
  * policy is unit-testable on a toy queue without a Gpu. The
  * LaunchQueueScheduler wraps it as a Clocked component on the
  * TickEngine's core domain: each tick it (1) reaps completed
- * partitioned launches, (2) collects due arrivals from the
- * per-tenant ArrivalStreams, (3) admits queued launches while
- * capacity lasts — static MPS-style SM shares or dynamic
- * best-effort SM allocation, per GpuConfig::serving — and
- * (4) drives the per-launch block dispatch. Every decision is a
- * pure function of simulated time and device state, so serving
- * runs are byte-identical across `--jobs` and `--tick-jobs`.
+ * launches, (2) collects due arrivals from the per-tenant
+ * ArrivalStreams and (3) admits queued launches through
+ * Gpu::beginLaunch() while capacity lasts — static MPS-style SM
+ * shares or dynamic best-effort SM allocation, per
+ * GpuConfig::serving. The Gpu's BlockDispatcher hands out the
+ * admitted launches' blocks. Every decision is a pure function of
+ * simulated time and device state, so serving runs are
+ * byte-identical across `--jobs` and `--tick-jobs`.
  *
  * Policies (the `serving.policy` override key):
  *  - fifo:       strict arrival order; head-of-line blocking.

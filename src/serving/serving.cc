@@ -111,9 +111,9 @@ ServingSession::ServingSession(Gpu &gpu,
 
     // Register on the core clock in the coordinator group (the
     // scheduler mutates cross-SM state, exactly like the block
-    // dispatcher), with wake edges both ways: its tick dispatches
-    // blocks into SMs, and an SM's tick can complete a launch the
-    // scheduler must reap.
+    // dispatcher), after the dispatcher, with wake edges both ways:
+    // its tick binds launches to SMs, and an SM's tick can complete
+    // a launch the scheduler must reap.
     ClockDomain *core = gpu_.engine().findDomain("core");
     GPULAT_ASSERT(core, "gpu engine has no core domain");
     gpu_.engine().add(*core, *sched_);
@@ -126,56 +126,22 @@ ServingSession::ServingSession(Gpu &gpu,
 WorkloadResult
 ServingSession::run()
 {
-    TickEngine &engine = gpu_.engine();
-    const Cycle start = engine.now();
-    const auto issued = [&] {
-        std::uint64_t sum = 0;
-        for (unsigned s = 0; s < gpu_.config().numSms; ++s)
-            sum += gpu_.stats().counterValue(
-                "sm" + std::to_string(s) + ".issued");
-        return sum;
-    };
-    const std::uint64_t instr_before = issued();
-
-    // Same watchdog shape as Gpu::launch(): progress is measured in
-    // performed engine steps, and the signature folds in scheduler
-    // progress so a long but healthy queue drain never trips it.
-    const std::uint64_t stall_steps =
-        gpu_.config().engine.watchdogStallSteps;
-    const auto signature = [&] {
-        return gpu_.activitySignature() +
-               0x9e3779b97f4a7c15ull * sched_->progressSignature();
-    };
-    std::uint64_t last_sig = signature();
-    std::uint64_t last_progress_step = engine.steps();
-    std::uint64_t iters = 0;
-
-    while (!sched_->finished() || !gpu_.allDrained()) {
-        engine.step();
-        engine.fastForward();
-        if ((++iters & 0x3fffu) == 0) {
-            const std::uint64_t sig = signature();
-            if (sig != last_sig) {
-                last_sig = sig;
-                last_progress_step = engine.steps();
-            } else if (stall_steps != 0 &&
-                       engine.steps() - last_progress_step >
-                           stall_steps) {
-                panic(gpu_.stallReport("serving"));
-            }
-        }
-    }
-    engine.settle();
+    // The watchdog signature folds in scheduler progress, so a long
+    // but healthy queue drain never trips it.
+    const LaunchResult run = gpu_.run(
+        [this] { return sched_->finished(); }, "serving",
+        [this] { return sched_->progressSignature(); });
 
     WorkloadResult result;
-    result.cycles = engine.now() - start;
-    result.instructions = issued() - instr_before;
+    result.cycles = run.cycles;
+    result.instructions = run.instructions;
     result.launches =
         static_cast<unsigned>(sched_->completed());
     std::vector<double> weights;
     for (const auto &spec : specs_)
         weights.push_back(spec.weight);
-    result.metrics = metrics_.finalize(start, engine.now(), weights);
+    result.metrics =
+        metrics_.finalize(run.startCycle, run.endCycle, weights);
     result.correct = verify();
     return result;
 }

@@ -11,8 +11,7 @@
  * engine until every arrival is served and the device drains, and
  * verifies every touched output buffer against a CPU reference.
  *
- * Registry workloads (`serve.*`, all on-demand rather than
- * bench-suite):
+ * Registry workloads (`serve.*`):
  *  - serve.mixed:   heterogeneous tenants (small/medium/heavy
  *                   launch classes), Poisson arrivals;
  *  - serve.uniform: homogeneous tenants, fixed-rate arrivals;

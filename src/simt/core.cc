@@ -566,42 +566,17 @@ SmCore::execGlobalMem(Warp &warp, const Instruction &inst,
         addrs[lane] = addr;
     }
 
-    // Functional access happens at issue. Atomics RMW in lane
-    // order, which serializes intra-warp conflicts exactly like the
-    // hardware's ROP units do.
+    // Loads and stores access device memory at issue. Atomics are
+    // forwarded: the owning partition performs the RMW at accept()
+    // and the pre-RMW value is written back on response. The dst
+    // register is scoreboarded below like any load, so no lane can
+    // observe it before the writeback.
     if (inst.isLoad()) {
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             if (guard >> lane & 1)
                 warp.setReg(lane, inst.dst, dmem_->read64(addrs[lane]));
         }
-    } else if (inst.isAtomic() && !ctx_->forwardAtomics) {
-        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-            if (!(guard >> lane & 1))
-                continue;
-            const RegValue old = dmem_->read64(addrs[lane]);
-            const RegValue arg = warp.reg(lane, inst.srcB);
-            RegValue next = 0;
-            switch (inst.atomOp) {
-              case AtomOp::Add:
-                next = old + arg;
-                break;
-              case AtomOp::Max:
-                next = static_cast<RegValue>(
-                    std::max(asInt(old), asInt(arg)));
-                break;
-              case AtomOp::Exch:
-                next = arg;
-                break;
-            }
-            dmem_->write64(addrs[lane], next);
-            warp.setReg(lane, inst.dst, old);
-        }
-    } else if (inst.isAtomic()) {
-        // Forwarded: the partition performs the RMW at accept() and
-        // the pre-RMW value is written back on response. The dst
-        // register is scoreboarded below like any load, so no lane
-        // can observe it before the writeback.
-    } else {
+    } else if (!inst.isAtomic()) {
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             if (guard >> lane & 1)
                 dmem_->write64(addrs[lane], warp.reg(lane, inst.srcB));
@@ -773,9 +748,8 @@ SmCore::tickLsu(Cycle now)
         req.token = op.token;
         req.trace.issue = op.issueCycle;
         req.trace.l1Access = now;
-        if (op.isAtomic && ctx_->forwardAtomics) {
+        if (op.isAtomic) {
             const AtomLane &al = op.atomLanes[op.nextTxn];
-            req.forwardAtomic = true;
             req.atomAddr = al.addr;
             req.atomArg = al.arg;
             req.atomLane = al.lane;
@@ -986,7 +960,7 @@ SmCore::acceptResponse(Cycle now, MemRequest req)
         for (LoadToken token : l1Mshr_.release(req.lineAddr))
             completeLoadTxn(token, now);
     } else {
-        if (req.forwardAtomic && req.token != kNoToken) {
+        if (req.isAtomic && req.token != kNoToken) {
             // Deliver the pre-RMW value the partition captured to
             // the issuing lane (acceptResponse runs in phase 0,
             // before any SM group ticks this cycle).
@@ -1007,14 +981,6 @@ SmCore::drained() const
     return lsuQueue_.empty() && missQueue_.empty() &&
            hitWheel_.empty() && regWheel_.empty() &&
            inflightCount_ == 0 && l1Mshr_.empty();
-}
-
-void
-SmCore::invalidateL1()
-{
-    GPULAT_ASSERT(l1Mshr_.empty(), "invalidate with misses in flight");
-    if (l1_)
-        l1_->invalidateAll();
 }
 
 } // namespace gpulat

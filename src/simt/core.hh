@@ -82,14 +82,6 @@ struct LaunchContext
     Addr localBase = 0;
     std::uint64_t totalThreads = 0;
     std::uint64_t localBytesPerThread = 0;
-    /**
-     * Forward atomic RMWs to the owning partition's accept() hook
-     * instead of executing them functionally at issue. Set by the
-     * Gpu launch paths (it is what lets atomics tick SM-parallel);
-     * defaults off so directly-driven SmCore tests keep the
-     * issue-time semantics.
-     */
-    bool forwardAtomics = false;
 };
 
 class SmCore : public Clocked
@@ -158,9 +150,6 @@ class SmCore : public Clocked
 
     /** True when every internal queue/table is empty. */
     bool drained() const;
-
-    /** Invalidate the L1 (between experiments). */
-    void invalidateL1();
 
     Cache *l1() { return l1_.get(); }
     const SmParams &params() const { return params_; }

@@ -7,9 +7,6 @@
  *
  *   gpulat sweep --gpu gf106 --workload pchase \
  *       footprintBytes=16384,65536,262144,4194304 --jobs 0
- *
- * Not part of the bench-suite set (makeAllWorkloads): a microbench
- * probes the machine rather than exercising a kernel pattern.
  */
 
 #ifndef GPULAT_WORKLOADS_PCHASE_HH

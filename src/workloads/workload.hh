@@ -9,9 +9,7 @@
 #define GPULAT_WORKLOADS_WORKLOAD_HH
 
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "gpu/gpu.hh"
 
@@ -47,15 +45,6 @@ class Workload
     /** Run to completion on @p gpu and verify. */
     virtual WorkloadResult run(Gpu &gpu) = 0;
 };
-
-/**
- * Construct the default-sized instance of every workload (used by
- * the multi-workload benches). @p scale in [0,1] shrinks inputs for
- * quick test runs (1.0 = bench-sized). Implemented on top of the
- * WorkloadRegistry (api/workload_registry.hh), which is the
- * preferred way to construct workloads by name.
- */
-std::vector<std::unique_ptr<Workload>> makeAllWorkloads(double scale);
 
 } // namespace gpulat
 

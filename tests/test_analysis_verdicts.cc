@@ -120,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
                       {"width=64", "height=64", "iterations=1"},
                       1.0, false, "cross-block overlap"},
         // Serving streams: every tenant kernel is an affine
-        // streaming shape, so the partitioned launches compose.
+        // streaming shape, so the concurrent launches compose.
         VerdictGolden{"serve.mixed", {}, 0.05, true,
                       "affine cross-block-disjoint"},
         VerdictGolden{"serve.uniform", {}, 0.05, true,

@@ -274,34 +274,10 @@ TEST(WorkloadRegistry, ConstructsEveryRegisteredName)
     }
 }
 
-TEST(WorkloadRegistry, MatchesMakeAllWorkloads)
+TEST(WorkloadRegistry, PChaseIsAddressable)
 {
-    // makeAllWorkloads() is implemented on the registry; the
-    // bench-suite set must be exactly the registered names flagged
-    // benchSuite, in registration order.
-    const WorkloadRegistry &reg = WorkloadRegistry::instance();
-    const auto workloads = makeAllWorkloads(0.05);
-    std::vector<std::string> names;
-    for (const std::string &name : reg.names()) {
-        if (reg.find(name)->benchSuite)
-            names.push_back(name);
-    }
-    ASSERT_EQ(workloads.size(), names.size());
-    for (std::size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(workloads[i]->name(), names[i]);
-}
-
-TEST(WorkloadRegistry, PChaseIsAddressableButNotBenchSuite)
-{
-    // The microbench registers benchSuite=false: sweepable by name
-    // through the CLI, absent from the kernel-pattern suite.
-    const WorkloadRegistry &reg = WorkloadRegistry::instance();
-    const WorkloadEntry *entry = reg.find("pchase");
-    ASSERT_NE(entry, nullptr);
-    EXPECT_FALSE(entry->benchSuite);
-    for (const auto &w : makeAllWorkloads(0.05))
-        EXPECT_NE(w->name(), "pchase");
-
+    // The microbench is sweepable by name through the experiment
+    // API like every kernel workload.
     ExperimentSpec spec;
     spec.gpu = "gf106";
     spec.workload = "pchase";
@@ -411,23 +387,6 @@ TEST(Experiment, SingleSpecPassesThrough)
     const auto runs = expandSweep(spec);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(runs[0].params[0], "n=1024");
-}
-
-TEST(Experiment, ScalarStatsRespectEpochs)
-{
-    // markEpoch() must fence scalars too, or a second experiment
-    // on the same Gpu inherits the first one's queue-wait samples.
-    StatRegistry stats;
-    stats.scalar("part0.dram_queue_wait").sample(100.0);
-    stats.scalar("part0.dram_queue_wait").sample(200.0);
-    stats.markEpoch();
-    stats.scalar("part0.dram_queue_wait").sample(30.0);
-    const auto delta =
-        stats.scalarSinceEpoch("part0.dram_queue_wait");
-    EXPECT_EQ(delta.count, 1u);
-    EXPECT_DOUBLE_EQ(delta.sum, 30.0);
-    EXPECT_DOUBLE_EQ(delta.mean(), 30.0);
-    EXPECT_EQ(stats.scalarSinceEpoch("absent").count, 0u);
 }
 
 // ------------------------------------------------ records and sinks

@@ -111,17 +111,6 @@ TEST(Cache, FillIsIdempotentForPresentLine)
     EXPECT_TRUE(cache.contains(128));
 }
 
-TEST(Cache, InvalidateAllEmptiesTheArray)
-{
-    StatRegistry stats;
-    Cache cache("c", smallParams(), &stats);
-    cache.fill(0, 0);
-    cache.fill(128, 0);
-    cache.invalidateAll();
-    EXPECT_FALSE(cache.contains(0));
-    EXPECT_FALSE(cache.contains(128));
-}
-
 TEST(Cache, CapacityWorkingSetFitsExactly)
 {
     StatRegistry stats;

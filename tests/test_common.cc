@@ -87,14 +87,12 @@ TEST(TimedQueue, LaterPushesKeepOrderEvenWhenReadyEarlier)
     EXPECT_TRUE(q.headReady(8));
 }
 
-TEST(Counter, IncrementAndReset)
+TEST(Counter, Increments)
 {
     Counter c;
     c.inc();
     c.inc(41);
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(ScalarStat, TracksMoments)
@@ -109,20 +107,6 @@ TEST(ScalarStat, TracksMoments)
     EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(Histogram, BucketsLinearly)
-{
-    Histogram h(0.0, 100.0, 10);
-    h.sample(5.0);
-    h.sample(15.0);
-    h.sample(15.5);
-    h.sample(99.9);
-    h.sample(1000.0); // clamps to last bucket
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 2u);
-    EXPECT_EQ(h.bucketCount(9), 2u);
-    EXPECT_DOUBLE_EQ(h.bucketLo(1), 10.0);
-    EXPECT_DOUBLE_EQ(h.bucketHi(1), 20.0);
-}
 
 TEST(StatRegistry, NamedCountersAreSingletons)
 {

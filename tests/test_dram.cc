@@ -119,16 +119,6 @@ TEST(DramChannel, CompletionsAreMonotonicInScheduleOrder)
     }
 }
 
-TEST(DramChannel, ResetClosesRows)
-{
-    StatRegistry stats;
-    DramChannel ch("d", testParams(), &stats);
-    ch.schedule(0, false, 0);
-    EXPECT_TRUE(ch.rowHit(0));
-    ch.reset();
-    EXPECT_FALSE(ch.rowHit(0));
-}
-
 TEST(DramSched, FcfsPicksHeadOnly)
 {
     StatRegistry stats;
@@ -401,29 +391,16 @@ TEST(DramDdr, ClosedPagePolicyAutoPrecharges)
     EXPECT_EQ(stats.counterValue("d.row_hits"), 0u);
 }
 
-TEST(DramDdr, ResetClearsDdrState)
+TEST(DramDdr, RefreshEpochsCountOnce)
 {
-    StatRegistry stats;
-    DramChannel ch("d", ddrParams(), &stats);
-    ch.schedule(0, false, 0);
-    ch.schedule(1024, true, 10);
-    ch.reset();
-    // A cold access after reset pays exactly the cold-start cost:
-    // no leftover bus, turnaround or tRRD state.
-    EXPECT_EQ(ch.schedule(2 * 1024, false, 0), 0u + 20 + 10 + 4);
-}
-
-TEST(DramDdr, ResetKeepsRefreshEpochs)
-{
-    // Refresh epochs are a function of the absolute cycle, which
-    // reset() does not rewind: no epoch starts in [3500, 3600], so
-    // the access at 3600 must not count any refresh again.
+    // Refresh epochs are a function of the absolute cycle: no epoch
+    // starts in [3500, 3600], so the access at 3600 must not count
+    // any refresh again.
     StatRegistry stats;
     DramChannel ch("d", ddrParams(), &stats);
     ch.schedule(0, false, 0);
     ch.schedule(0, false, 3500);
     EXPECT_EQ(stats.counterValue("d.refreshes"), 3u);
-    ch.reset();
     ch.schedule(0, false, 3600);
     EXPECT_EQ(stats.counterValue("d.refreshes"), 3u);
     // The next epoch still counts once.

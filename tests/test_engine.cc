@@ -1065,44 +1065,5 @@ TEST(Engine, RejectsDegenerateRatios)
     }
 }
 
-// ------------------------------------------------- experiment reset
-
-TEST(Engine, ExperimentResetClearsCollectorsAndEpochs)
-{
-    Gpu gpu(smallGF106());
-    const Kernel k = assemble(R"(
-        s2r r0, tid
-        shl r1, r0, 3
-        mov r2, param0
-        iadd r2, r2, r1
-        ld.global r3, [r2]
-        iadd r3, r3, 1
-        st.global [r2], r3
-        exit
-    )");
-    const Addr buf = gpu.alloc(256 * 8);
-    gpu.launch(k, 2, 128, {buf});
-
-    EXPECT_GT(gpu.latencies().count(), 0u);
-    EXPECT_GT(gpu.exposure().count(), 0u);
-    EXPECT_GT(gpu.stats().counterValue("sm0.issued"), 0u);
-
-    gpu.invalidateCaches();
-
-    EXPECT_EQ(gpu.latencies().count(), 0u);
-    EXPECT_EQ(gpu.exposure().count(), 0u);
-    // Monotonic counters keep their totals; the epoch view resets.
-    EXPECT_GT(gpu.stats().counterValue("sm0.issued"), 0u);
-    EXPECT_EQ(gpu.stats().counterSinceEpoch("sm0.issued"), 0u);
-
-    const LaunchResult second = gpu.launch(k, 2, 128, {buf});
-    EXPECT_GT(gpu.latencies().count(), 0u);
-    std::uint64_t issued_epoch = 0;
-    for (unsigned s = 0; s < gpu.config().numSms; ++s)
-        issued_epoch += gpu.stats().counterSinceEpoch(
-            "sm" + std::to_string(s) + ".issued");
-    EXPECT_EQ(issued_epoch, second.instructions);
-}
-
 } // namespace
 } // namespace gpulat

@@ -208,6 +208,66 @@ TEST(Gpu, LocalMemoryIsPerThread)
     }
 }
 
+TEST(Gpu, LocalMemoryLaunchRunsAlone)
+{
+    // The local backing store is one per device: a local-memory
+    // launch on a subset of SMs runs and verifies, but no launch
+    // may begin beside it, and it may not begin beside another.
+    GpuConfig cfg = testConfig();
+    cfg.localBytesPerThread = 256;
+    Gpu gpu(cfg);
+    const Kernel local = assemble(R"(
+        s2r r0, tid
+        imul r3, r0, 7
+        mov r4, 8
+        st.local [r4], r3
+        ld.local r5, [r4]
+        mov r6, param0
+        shl r7, r0, 3
+        iadd r6, r6, r7
+        st.global [r6], r5
+        exit
+    )");
+    const Kernel plain = assemble(R"(
+        s2r r0, tid
+        shl r1, r0, 3
+        mov r2, param0
+        iadd r2, r2, r1
+        mov r3, 99
+        st.global [r2], r3
+        exit
+    )");
+    const unsigned threads = 64;
+    const Addr local_out = gpu.alloc(threads * 8);
+    const Addr plain_out = gpu.alloc(threads * 8);
+    auto run_alone = [&gpu](Gpu::LaunchId id) {
+        gpu.run([&gpu, id] { return gpu.launchDone(id); }, "test");
+        gpu.retireLaunch(id);
+    };
+
+    const Gpu::LaunchId local_id =
+        gpu.beginLaunch(local, 1, threads, {local_out}, {0});
+    EXPECT_THROW(gpu.beginLaunch(plain, 1, threads, {plain_out}, {1}),
+                 FatalError);
+    run_alone(local_id);
+    for (std::uint64_t i = 0; i < threads; ++i) {
+        std::uint64_t v = 0;
+        gpu.copyFromDevice(&v, local_out + i * 8, 8);
+        EXPECT_EQ(v, i * 7) << "thread " << i;
+    }
+
+    const Gpu::LaunchId plain_id =
+        gpu.beginLaunch(plain, 1, threads, {plain_out}, {1});
+    EXPECT_THROW(gpu.beginLaunch(local, 1, threads, {local_out}, {0}),
+                 FatalError);
+    run_alone(plain_id);
+    for (std::uint64_t i = 0; i < threads; ++i) {
+        std::uint64_t v = 0;
+        gpu.copyFromDevice(&v, plain_out + i * 8, 8);
+        EXPECT_EQ(v, 99u) << "thread " << i;
+    }
+}
+
 TEST(Gpu, FloatingPointOps)
 {
     Gpu gpu(testConfig());

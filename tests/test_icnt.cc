@@ -192,15 +192,5 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<unsigned, unsigned>{15, 6},
                       std::pair<unsigned, unsigned>{6, 15}));
 
-TEST(Crossbar, ClearDrainsEverything)
-{
-    StatRegistry stats;
-    Crossbar<Pkt> xbar("x", 1, 1, 5, 4, 4, &stats);
-    xbar.inject(0, 0, 0, Pkt{1});
-    EXPECT_FALSE(xbar.empty());
-    xbar.clear();
-    EXPECT_TRUE(xbar.empty());
-}
-
 } // namespace
 } // namespace gpulat

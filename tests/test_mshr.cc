@@ -79,7 +79,7 @@ TEST(MshrBanked, LineHashSplitsBanks)
 {
     // 8 entries over 4 banks, 128-byte lines: line -> bank cycles
     // with the line number.
-    MshrTable<int> mshr(8, 4, 4, 0, 0, 128);
+    MshrTable<int> mshr(8, 4, 4, 0, 128);
     EXPECT_EQ(mshr.banks(), 4u);
     EXPECT_EQ(mshr.bankCapacity(), 2u);
     EXPECT_EQ(mshr.bankOf(0), 0u);
@@ -89,7 +89,7 @@ TEST(MshrBanked, LineHashSplitsBanks)
 
 TEST(MshrBanked, BankFullWhileTableHasRoom)
 {
-    MshrTable<int> mshr(8, 4, 4, 0, 0, 128);
+    MshrTable<int> mshr(8, 4, 4, 0, 128);
     // Fill bank 0's two entries (lines 0 and 4).
     EXPECT_EQ(mshr.allocate(0, 1), MshrOutcome::NewEntry);
     EXPECT_EQ(mshr.allocate(4 * 128, 2), MshrOutcome::NewEntry);
@@ -112,20 +112,17 @@ TEST(MshrBanked, ExplicitBankBudgetsOverrideDefaults)
 {
     // Per-bank budget above entries/banks: bank skew is allowed
     // until the whole table fills.
-    MshrTable<int> mshr(4, 8, 2, 3, 2, 128);
+    MshrTable<int> mshr(4, 8, 2, 3, 128);
     EXPECT_EQ(mshr.bankCapacity(), 3u);
     EXPECT_EQ(mshr.allocate(0, 1), MshrOutcome::NewEntry);
     EXPECT_EQ(mshr.allocate(2 * 128, 2), MshrOutcome::NewEntry);
     EXPECT_EQ(mshr.allocate(4 * 128, 3), MshrOutcome::NewEntry);
     EXPECT_FALSE(mshr.canAllocate(6 * 128)); // bank 0 budget
-    // bankMerges=2 overrides the per-line merge cap.
-    EXPECT_EQ(mshr.allocate(0, 4), MshrOutcome::Merged);
-    EXPECT_EQ(mshr.allocate(0, 5), MshrOutcome::FullMerges);
 }
 
 TEST(MshrBanked, SingleBankMatchesFlatTable)
 {
-    MshrTable<int> banked(4, 2, 1, 0, 0, 128);
+    MshrTable<int> banked(4, 2, 1, 0, 128);
     MshrTable<int> flat(4, 2);
     for (Addr line : {Addr{0}, Addr{128}, Addr{256}, Addr{384}}) {
         EXPECT_EQ(banked.canAllocate(line), flat.canAllocate(line));

@@ -5,8 +5,9 @@
  * freedom), `seed`/`serving.*` override round-trips, arrival-stream
  * determinism and closed-loop re-arming, the per-launch golden
  * `queue + execution == end-to-end` latency decomposition on a real
- * serving run, and byte-identity of a serving sweep across
- * `--tick-jobs` and `--jobs`.
+ * serving run, byte-identity of a serving sweep across
+ * `--tick-jobs` and `--jobs`, and equal results under both
+ * fast-forward modes.
  */
 
 #include <algorithm>
@@ -341,6 +342,59 @@ TEST(Serving, ByteIdenticalAcrossTickJobsAndJobs)
     EXPECT_NE(serial.find("serving.p99_latency"), std::string::npos);
     EXPECT_EQ(serial, sweepOutput({"--tick-jobs", "8"}));
     EXPECT_EQ(serial, sweepOutput({"--jobs", "4"}));
+}
+
+TEST(Serving, FastForwardModesAgree)
+{
+    // A launch admitted at cycle t gets its first blocks at t + 1,
+    // after its SMs have ticked with the bound context, so no
+    // dispatch lands in an SM tick the engine skipped: both
+    // fast-forward modes give the same cycles, serving metrics and
+    // counters (apart from the engine's own tick accounting).
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"serve.mixed", "serving.policy=fifo"},
+        {"serve.mixed", "serving.policy=fair-share"},
+        {"serve.uniform", "serving.partition=static"},
+    };
+    for (const auto &[workload, override_kv] : cases) {
+        std::vector<ExperimentRecord> recs;
+        for (const char *mode : {"off", "perDomain"}) {
+            ExperimentSpec spec;
+            spec.workload = workload;
+            spec.params = {"tenants=2", "launches=3"};
+            spec.overrides = {override_kv,
+                              std::string("idleFastForward=") + mode};
+            recs.push_back(runExperiment(spec));
+        }
+        const ExperimentRecord &off = recs[0];
+        const ExperimentRecord &per_domain = recs[1];
+        const std::string what = workload + " " + override_kv;
+        EXPECT_TRUE(off.correct) << what;
+        EXPECT_TRUE(per_domain.correct) << what;
+        EXPECT_EQ(off.cycles, per_domain.cycles) << what;
+
+        unsigned serving_metrics = 0;
+        for (const auto &[name, value] : off.metrics) {
+            if (name.rfind("serving.", 0) != 0)
+                continue;
+            ++serving_metrics;
+            EXPECT_EQ(value, per_domain.metric(name))
+                << what << ": " << name;
+        }
+        EXPECT_GT(serving_metrics, 0u) << what;
+
+        const auto without_engine =
+            [](const std::map<std::string, std::uint64_t> &counters) {
+                std::map<std::string, std::uint64_t> out;
+                for (const auto &[name, value] : counters)
+                    if (name.rfind("engine.", 0) != 0)
+                        out[name] = value;
+                return out;
+            };
+        EXPECT_EQ(without_engine(off.counters),
+                  without_engine(per_domain.counters))
+            << what;
+    }
 }
 
 TEST(Serving, PoliciesSpreadTheTailUnderSaturation)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/workload_registry.hh"
 #include "workloads/bfs.hh"
 #include "workloads/compute_stream.hh"
 #include "workloads/gemm.hh"
@@ -282,11 +283,14 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ComputeStreamDepths,
 
 TEST(AllWorkloads, FactoryProducesRunnableSet)
 {
-    const auto workloads = makeAllWorkloads(0.05);
-    EXPECT_GE(workloads.size(), 10u);
-    for (const auto &w : workloads) {
+    const WorkloadRegistry &reg = WorkloadRegistry::instance();
+    const auto names = reg.names();
+    EXPECT_GE(names.size(), 10u);
+    for (const std::string &name : names) {
+        const auto workload =
+            reg.create(name, reg.scaledParams(name, 0.05));
         Gpu gpu(testConfig());
-        EXPECT_TRUE(w->run(gpu).correct) << w->name();
+        EXPECT_TRUE(workload->run(gpu).correct) << name;
     }
 }
 
