@@ -71,12 +71,13 @@ BM_FrFcfsPick(benchmark::State &state)
     StatRegistry stats;
     DramParams params;
     DramChannel channel("bm.dram", params, &stats);
-    std::deque<MemRequest> queue;
+    std::deque<DramQueueEntry> queue;
     Rng rng(3);
     for (int i = 0; i < 32; ++i) {
         MemRequest req;
         req.lineAddr = rng.below(1 << 16) * 128;
-        queue.push_back(req);
+        req.trace.dramEnq = 0;
+        queue.push_back({req, channel.coordOf(req.lineAddr)});
     }
     Cycle now = 1;
     for (auto _ : state) {

@@ -23,6 +23,32 @@ narrow(Wide v)
     return v >= Wide{kNoCycle} ? kNoCycle : static_cast<Cycle>(v);
 }
 
+/** n / d without a hardware divide for the d == 1 of every default
+ *  (unity) grid: these helpers run tens of millions of times per
+ *  launch. */
+Cycle
+divide(Cycle n, unsigned d)
+{
+    return d == 1 ? n : n / d;
+}
+
+/**
+ * floor(x * mul / div) + 1, saturating at kNoCycle. Computed in 64
+ * bits whenever x * mul fits (every argument on a unity grid, and
+ * every realistic one on the others); only the rest pays the
+ * 128-bit division.
+ */
+Cycle
+floorMulDivPlusOne(Cycle x, ClockRatio ratio)
+{
+    Cycle num;
+    if (!__builtin_mul_overflow(x, Cycle{ratio.mul}, &num)) {
+        const Cycle q = divide(num, ratio.div);
+        return q >= kNoCycle - 1 ? kNoCycle : q + 1;
+    }
+    return narrow(Wide{x} * ratio.mul / ratio.div + 1);
+}
+
 } // namespace
 
 ClockDomain::ClockDomain(std::string name, ClockRatio ratio)
@@ -40,6 +66,10 @@ ClockDomain::tickCycle(Cycle k, ClockRatio ratio)
     // sentinel back into a finite — and bogus — cycle.
     if (k == kNoCycle)
         return kNoCycle;
+    Cycle num;
+    if (!__builtin_mul_overflow(k, Cycle{ratio.div}, &num) &&
+        !__builtin_add_overflow(num, Cycle{ratio.mul} - 1, &num))
+        return divide(num, ratio.mul);
     return narrow((Wide{k} * ratio.div + ratio.mul - 1) / ratio.mul);
 }
 
@@ -49,7 +79,7 @@ ClockDomain::ticksThrough(Cycle c, ClockRatio ratio)
     // Tick k lands on ceil(k * div / mul), so ticks with
     // k * div <= c * mul have happened by the end of cycle c:
     // floor(c * mul / div) of them with k >= 1, plus tick 0.
-    return narrow(Wide{c} * ratio.mul / ratio.div + 1);
+    return floorMulDivPlusOne(c, ratio);
 }
 
 Cycle
@@ -59,7 +89,7 @@ ClockDomain::firstTickAtOrAfter(Cycle e, ClockRatio ratio)
     //                           <=>  k > (e - 1) * mul / div.
     if (e == 0)
         return 0;
-    return narrow(Wide{e - 1} * ratio.mul / ratio.div + 1);
+    return floorMulDivPlusOne(e - 1, ratio);
 }
 
 Cycle

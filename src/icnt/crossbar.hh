@@ -51,6 +51,7 @@ class Crossbar : public Clocked
         for (unsigned d = 0; d < num_dst; ++d)
             outputs_.emplace_back(out_capacity, Cycle{0});
         rrPtr_.assign(num_dst, 0);
+        arb_.resize(num_dst);
         GPULAT_ASSERT(stats != nullptr, "crossbar needs stats");
         transferred_ = &stats->counter(name_ + ".transferred");
         arbStalls_ = &stats->counter(name_ + ".arb_stalls");
@@ -69,7 +70,7 @@ class Crossbar : public Clocked
     bool
     canInject(unsigned src) const
     {
-        return !inputs_[src].queue.full();
+        return !inputs_[src].full();
     }
 
     /**
@@ -80,47 +81,53 @@ class Crossbar : public Clocked
     inject(Cycle now, unsigned src, unsigned dst, T payload)
     {
         GPULAT_ASSERT(dst < numDst(), "bad crossbar destination");
-        return inputs_[src].queue.push(
-            now, Packet{dst, std::move(payload)});
+        return inputs_[src].push(now, Packet{dst, std::move(payload)});
     }
 
     /**
      * Advance one cycle: move up to one ready packet to each
      * destination output queue, arbitrating round-robin among
      * sources whose head packet targets that destination.
+     *
+     * One pass over the sources collects the bids: a source bids
+     * only with its head, so it moves at most one packet per cycle,
+     * and only for a destination with output room. The winner for
+     * destination d is the bidder nearest at or after rrPtr_[d]
+     * (smallest rank); every other bidder is an arbitration stall.
+     * A second pass over the destinations moves the winners.
      */
     void
     tick(Cycle now) override
     {
         const unsigned nsrc = numSrc();
-        for (unsigned d = 0; d < numDst(); ++d) {
+        for (unsigned s = 0; s < nsrc; ++s) {
+            const auto &in = inputs_[s];
+            if (!in.headReady(now))
+                continue;
+            const unsigned d = in.front().dst;
             if (outputs_[d].full())
                 continue;
-            bool contended = false;
             const unsigned start = rrPtr_[d];
-            for (unsigned k = 0; k < nsrc; ++k) {
-                unsigned s = (start + k) % nsrc;
-                auto &in = inputs_[s];
-                if (!in.queue.headReady(now) || in.poppedThisCycle)
-                    continue;
-                if (in.queue.front().dst != d) {
-                    continue;
-                }
-                if (contended) {
-                    arbStalls_->inc();
-                    continue;
-                }
-                Packet pkt = in.queue.pop();
-                in.poppedThisCycle = true;
-                bool ok = outputs_[d].push(now, std::move(pkt.payload));
-                GPULAT_ASSERT(ok, "output push must succeed");
-                transferred_->inc();
-                rrPtr_[d] = (s + 1) % nsrc;
-                contended = true; // this dst is served; count losers
+            const unsigned rank =
+                s >= start ? s - start : s + nsrc - start;
+            Arbitration &arb = arb_[d];
+            if (arb.bidders++ == 0 || rank < arb.rank) {
+                arb.rank = rank;
+                arb.winner = s;
             }
         }
-        for (auto &in : inputs_)
-            in.poppedThisCycle = false;
+        for (unsigned d = 0; d < numDst(); ++d) {
+            Arbitration &arb = arb_[d];
+            if (arb.bidders == 0)
+                continue;
+            Packet pkt = inputs_[arb.winner].pop();
+            bool ok = outputs_[d].push(now, std::move(pkt.payload));
+            GPULAT_ASSERT(ok, "output push must succeed");
+            transferred_->inc();
+            arbStalls_->inc(arb.bidders - 1);
+            rrPtr_[d] = arb.winner + 1 == nsrc ? 0 : arb.winner + 1;
+            arb.bidders = 0;
+        }
     }
 
     /**
@@ -134,7 +141,7 @@ class Crossbar : public Clocked
         (void)now;
         Cycle e = kNoCycle;
         for (const auto &in : inputs_)
-            e = std::min(e, in.queue.headReadyAt());
+            e = std::min(e, in.headReadyAt());
         return e;
     }
 
@@ -154,7 +161,7 @@ class Crossbar : public Clocked
     {
         std::size_t n = 0;
         for (const auto &in : inputs_)
-            n += in.queue.size();
+            n += in.size();
         for (const auto &out : outputs_)
             n += out.size();
         return n;
@@ -178,7 +185,7 @@ class Crossbar : public Clocked
     empty() const
     {
         for (const auto &in : inputs_)
-            if (!in.queue.empty())
+            if (!in.empty())
                 return false;
         for (const auto &out : outputs_)
             if (!out.empty())
@@ -193,21 +200,21 @@ class Crossbar : public Clocked
         T payload;
     };
 
-    struct InputPort
+    /** One destination's bids in the current tick (bidders is 0
+     *  between ticks). */
+    struct Arbitration
     {
-        InputPort(std::size_t capacity, Cycle latency)
-            : queue(capacity, latency)
-        {
-        }
-        TimedQueue<Packet> queue;
-        bool poppedThisCycle = false;
+        unsigned bidders = 0;
+        unsigned rank = 0;
+        unsigned winner = 0;
     };
 
     std::string name_;
     Cycle latency_;
-    std::vector<InputPort> inputs_;
+    std::vector<TimedQueue<Packet>> inputs_;
     std::vector<TimedQueue<T>> outputs_;
     std::vector<unsigned> rrPtr_;
+    std::vector<Arbitration> arb_;
 
     Counter *transferred_;
     Counter *arbStalls_;

@@ -70,37 +70,6 @@ DramChannel::coordOf(Addr line_addr) const
     return mapDramAddress(params_.geometry(), line_addr);
 }
 
-unsigned
-DramChannel::bankOf(Addr line_addr) const
-{
-    return coordOf(line_addr).flatBank;
-}
-
-std::uint64_t
-DramChannel::rowOf(Addr line_addr) const
-{
-    return coordOf(line_addr).row;
-}
-
-bool
-DramChannel::rowHit(Addr line_addr) const
-{
-    const DramCoord c = coordOf(line_addr);
-    const Bank &bank = banks_[c.flatBank];
-    return bank.rowOpen && bank.openRow == c.row;
-}
-
-bool
-DramChannel::bankReady(Addr line_addr, Cycle now) const
-{
-    // Refresh deliberately does not gate readiness: a request
-    // issued into a mid-refresh rank is clamped past the window by
-    // schedule(), which charges the wait to refresh_stall_cycles
-    // — blocking it here would hide that wait inside generic queue
-    // time (and cost extra scheduler retries).
-    return banks_[coordOf(line_addr).flatBank].readyAt <= now;
-}
-
 std::uint64_t
 DramChannel::refreshStallCycles() const
 {
@@ -154,9 +123,8 @@ DramChannel::catchUpRefresh(unsigned rank_id, Cycle now)
 }
 
 Cycle
-DramChannel::schedule(Addr line_addr, bool is_write, Cycle now)
+DramChannel::schedule(const DramCoord &c, bool is_write, Cycle now)
 {
-    const DramCoord c = coordOf(line_addr);
     Bank &bank = banks_[c.flatBank];
     Rank &rank = ranks_[c.rank];
     const DramTiming &t = params_.timing;

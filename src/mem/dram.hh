@@ -110,28 +110,36 @@ class DramChannel
     DramChannel(std::string name, const DramParams &params,
                 StatRegistry *stats);
 
-    /** Full coordinates of a line address (mapper output). */
+    /** Full coordinates of a line address (mapper output). The
+     *  queries below take them, so a queued request is mapped once,
+     *  when it enters the queue. */
     DramCoord coordOf(Addr line_addr) const;
 
-    /** Bank index a line address maps to (rank-flattened). */
-    unsigned bankOf(Addr line_addr) const;
-    /** Row (within its bank) a line address maps to. */
-    std::uint64_t rowOf(Addr line_addr) const;
-
     /** True if the request would hit the currently open row. */
-    bool rowHit(Addr line_addr) const;
+    bool
+    rowHit(const DramCoord &c) const
+    {
+        const Bank &bank = banks_[c.flatBank];
+        return bank.rowOpen && bank.openRow == c.row;
+    }
 
     /** True if the bank can accept a new command at @p now. A
      *  mid-refresh rank does not block here — schedule() clamps the
-     *  command past the window and charges refresh_stall_cycles. */
-    bool bankReady(Addr line_addr, Cycle now) const;
+     *  command past the window and charges refresh_stall_cycles
+     *  (blocking here would hide that wait inside generic queue
+     *  time, and cost extra scheduler retries). */
+    bool
+    bankReady(const DramCoord &c, Cycle now) const
+    {
+        return banks_[c.flatBank].readyAt <= now;
+    }
 
     /**
-     * Issue the request to its bank at cycle @p now (the scheduler
-     * has selected it). Updates bank/bus state.
+     * Issue the request at @p c to its bank at cycle @p now (the
+     * scheduler has selected it). Updates bank/bus state.
      * @return the cycle at which the data burst completes.
      */
-    Cycle schedule(Addr line_addr, bool is_write, Cycle now);
+    Cycle schedule(const DramCoord &c, bool is_write, Cycle now);
 
     const DramParams &params() const { return params_; }
 

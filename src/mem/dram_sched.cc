@@ -16,7 +16,7 @@ toString(DramSchedPolicy policy)
 
 std::optional<std::size_t>
 pickDramRequest(DramSchedPolicy policy,
-                const std::deque<MemRequest> &queue,
+                const std::deque<DramQueueEntry> &queue,
                 const DramChannel &channel, Cycle now,
                 Cycle starvation_limit)
 {
@@ -25,7 +25,7 @@ pickDramRequest(DramSchedPolicy policy,
 
     if (policy == DramSchedPolicy::FCFS) {
         // Strictly oldest-first; wait for its bank if necessary.
-        return channel.bankReady(queue.front().dramAddr(), now)
+        return channel.bankReady(queue.front().coord, now)
             ? std::optional<std::size_t>(0)
             : std::nullopt;
     }
@@ -34,7 +34,7 @@ pickDramRequest(DramSchedPolicy policy,
     // too long, stop preferring row hits over it. An unstamped
     // enqueue cycle would silently disable this forever, so it is a
     // bug in the producer (pushDram() stamps every request).
-    const Cycle head_enq = queue.front().trace.dramEnq;
+    const Cycle head_enq = queue.front().req.trace.dramEnq;
     GPULAT_ASSERT(head_enq != kNoCycle,
                   "DRAM request reached the scheduler without a "
                   "dramEnq stamp: anti-starvation would be disabled");
@@ -43,9 +43,9 @@ pickDramRequest(DramSchedPolicy policy,
     // FR-FCFS: oldest ready row-hit first, then oldest ready request.
     std::optional<std::size_t> oldest_ready;
     for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (!channel.bankReady(queue[i].dramAddr(), now))
+        if (!channel.bankReady(queue[i].coord, now))
             continue;
-        if (!starving && channel.rowHit(queue[i].dramAddr()))
+        if (!starving && channel.rowHit(queue[i].coord))
             return i;
         if (!oldest_ready)
             oldest_ready = i;

@@ -27,6 +27,14 @@ enum class DramSchedPolicy : std::uint8_t { FCFS, FRFCFS };
 
 const char *toString(DramSchedPolicy policy);
 
+/** A queued DRAM request and where it lands in the channel, mapped
+ *  once on entry so the scheduler's per-tick scan maps nothing. */
+struct DramQueueEntry
+{
+    MemRequest req;
+    DramCoord coord;
+};
+
 /**
  * Select which queued request the channel should service next.
  *
@@ -42,7 +50,7 @@ const char *toString(DramSchedPolicy policy);
  */
 std::optional<std::size_t>
 pickDramRequest(DramSchedPolicy policy,
-                const std::deque<MemRequest> &queue,
+                const std::deque<DramQueueEntry> &queue,
                 const DramChannel &channel, Cycle now,
                 Cycle starvation_limit = 768);
 

@@ -27,6 +27,9 @@ MemPartition::MemPartition(unsigned id, const PartitionParams &params,
       dram_("part" + std::to_string(id) + ".dram", params.dram, stats),
       returnQueue_(params.returnQueueSize, params.returnQueueLatency)
 {
+    // Every L2 miss would wait forever for DRAM-queue room.
+    if (params_.dramQueueSize == 0)
+        fatal("partition.dramQueueSize must be > 0");
     const std::string prefix = "part" + std::to_string(id);
     if (params_.l2Enabled) {
         l2_ = std::make_unique<Cache>(prefix + ".l2", params_.l2Cache,
@@ -93,7 +96,8 @@ MemPartition::pushDram(Cycle now, MemRequest req)
     GPULAT_ASSERT(req.isWriteback || dramQueue_.size() <
                   params_.dramQueueSize, "DRAM queue overflow");
     req.trace.dramEnq = now;
-    dramQueue_.push_back(std::move(req));
+    const DramCoord coord = dram_.coordOf(req.dramAddr());
+    dramQueue_.push_back(DramQueueEntry{std::move(req), coord});
 }
 
 void
@@ -103,7 +107,8 @@ MemPartition::tickDramSchedule(Cycle now)
                                 params_.dramStarvationLimit);
     if (!pick)
         return;
-    MemRequest req = std::move(dramQueue_[*pick]);
+    MemRequest req = std::move(dramQueue_[*pick].req);
+    const DramCoord coord = dramQueue_[*pick].coord;
     dramQueue_.erase(dramQueue_.begin() +
                      static_cast<std::ptrdiff_t>(*pick));
     if (!req.isWrite) {
@@ -111,7 +116,7 @@ MemPartition::tickDramSchedule(Cycle now)
         dramQueueWait_->sample(
             static_cast<double>(now - req.trace.dramEnq));
     }
-    const Cycle done = dram_.schedule(req.dramAddr(), req.isWrite, now);
+    const Cycle done = dram_.schedule(coord, req.isWrite, now);
     GPULAT_ASSERT(dramInService_.empty() ||
                   dramInService_.back().first <= done,
                   "DRAM completions must be ordered");

@@ -177,7 +177,7 @@ class MemPartition
     /** DRAM-side ticks performed (scheduling-cadence counter). */
     Cycle memTicks_ = 0;
     /** Pending DRAM requests, arrival order (scheduler scans). */
-    std::deque<MemRequest> dramQueue_;
+    std::deque<DramQueueEntry> dramQueue_;
     /** In-service DRAM requests; completion times non-decreasing. */
     std::deque<std::pair<Cycle, MemRequest>> dramInService_;
     DramChannel dram_;

@@ -56,6 +56,7 @@ SmCore::SmCore(const SmParams &params, DeviceMemory *dmem,
         expShard_ = &expCollector_->shard(params_.smId);
 
     warps_.resize(params_.warpSlots);
+    freeWarpSlots_ = params_.warpSlots;
     blocks_.resize(params_.maxBlocksPerSm);
 
     const std::string prefix = "sm" + std::to_string(params_.smId);
@@ -132,13 +133,12 @@ SmCore::canAcceptBlock() const
         return false;
     const unsigned warps_needed =
         (ctx_->threadsPerBlock + kWarpSize - 1) / kWarpSize;
-    // Done warps still belong to their block until the whole block
-    // retires, so only Invalid slots are reusable.
-    unsigned free_warps = 0;
-    for (const auto &w : warps_)
-        if (w.state() == WarpState::Invalid)
-            ++free_warps;
-    if (free_warps < warps_needed)
+    assert(freeWarpSlots_ ==
+           static_cast<unsigned>(std::count_if(
+               warps_.begin(), warps_.end(), [](const Warp &w) {
+                   return w.state() == WarpState::Invalid;
+               })));
+    if (freeWarpSlots_ < warps_needed)
         return false;
     const unsigned regs_needed = warps_needed * kWarpSize *
         static_cast<unsigned>(ctx_->kernel->numRegs);
@@ -186,6 +186,7 @@ SmCore::dispatchBlock(unsigned block_id)
         ++residentWarps_;
     }
 
+    freeWarpSlots_ -= warps_needed;
     regsUsed_ += warps_needed * kWarpSize *
         static_cast<unsigned>(ctx_->kernel->numRegs);
     smemUsed_ += ctx_->kernel->sharedBytes;
@@ -294,6 +295,7 @@ SmCore::finishWarp(Warp &warp)
         --residentBlocks_;
         for (unsigned slot : block.warpSlots)
             warps_[slot].setState(WarpState::Invalid);
+        freeWarpSlots_ += block.numWarps;
     }
 }
 
@@ -363,134 +365,155 @@ SmCore::execAlu(Warp &warp, const Instruction &inst, LaneMask guard,
     Cycle latency = inst.isFloat() ? params_.fpLatency
                                    : params_.aluLatency;
 
-    for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-        if (!(guard >> lane & 1))
-            continue;
-        RegValue result = 0;
-        switch (inst.op) {
-          case Opcode::MOV:
-            if (inst.param != kNoReg)
-                result = ctx_->params[static_cast<std::size_t>(
-                    inst.param)];
-            else
-                result = operandB(warp, inst, lane);
+    // The opcode is decoded once; each case then walks the guarded
+    // lanes in ascending order.
+    auto each_lane = [guard](auto &&body) {
+        for (LaneMask m = guard; m != 0; m &= m - 1)
+            body(static_cast<unsigned>(std::countr_zero(m)));
+    };
+    auto write = [&](auto &&value_of_lane) {
+        each_lane([&](unsigned lane) {
+            warp.setReg(lane, inst.dst, value_of_lane(lane));
+        });
+    };
+    auto binary = [&](auto &&op) {
+        write([&](unsigned lane) {
+            return op(warp.reg(lane, inst.srcA),
+                      operandB(warp, inst, lane));
+        });
+    };
+    auto binary_f = [&](auto &&op) {
+        binary([&](RegValue a, RegValue b) {
+            return fromDouble(op(asDouble(a), asDouble(b)));
+        });
+    };
+    auto uniform = [&](RegValue v) {
+        write([v](unsigned) { return v; });
+    };
+    auto setp = [&](auto &&cmp) {
+        each_lane([&](unsigned lane) {
+            warp.setPredBit(lane, inst.predDst,
+                            cmp(asInt(warp.reg(lane, inst.srcA)),
+                                asInt(operandB(warp, inst, lane))));
+        });
+    };
+
+    switch (inst.op) {
+      case Opcode::MOV:
+        if (inst.param != kNoReg)
+            uniform(ctx_->params[static_cast<std::size_t>(inst.param)]);
+        else
+            write([&](unsigned lane) {
+                return operandB(warp, inst, lane);
+            });
+        break;
+      case Opcode::S2R:
+        switch (inst.sreg) {
+          case SpecialReg::Tid:
+            write([&](unsigned lane) {
+                return RegValue{warp.warpInBlock() * kWarpSize + lane};
+            });
             break;
-          case Opcode::S2R:
-            switch (inst.sreg) {
-              case SpecialReg::Tid:
-                result = warp.warpInBlock() * kWarpSize + lane;
-                break;
-              case SpecialReg::Ctaid:
-                result = blocks_[warp.blockSlot()].blockId;
-                break;
-              case SpecialReg::Ntid:
-                result = ctx_->threadsPerBlock;
-                break;
-              case SpecialReg::Nctaid:
-                result = ctx_->numBlocks;
-                break;
-              case SpecialReg::LaneId:
-                result = lane;
-                break;
-              case SpecialReg::WarpId:
-                result = warp.warpInBlock();
-                break;
-              case SpecialReg::SmId:
-                result = params_.smId;
-                break;
-            }
+          case SpecialReg::Ctaid:
+            uniform(blocks_[warp.blockSlot()].blockId);
             break;
-          case Opcode::CLOCK:
-            result = now;
+          case SpecialReg::Ntid:
+            uniform(ctx_->threadsPerBlock);
             break;
-          case Opcode::IADD:
-            result = warp.reg(lane, inst.srcA) +
-                     operandB(warp, inst, lane);
+          case SpecialReg::Nctaid:
+            uniform(ctx_->numBlocks);
             break;
-          case Opcode::ISUB:
-            result = warp.reg(lane, inst.srcA) -
-                     operandB(warp, inst, lane);
+          case SpecialReg::LaneId:
+            write([](unsigned lane) { return RegValue{lane}; });
             break;
-          case Opcode::IMUL:
-            result = warp.reg(lane, inst.srcA) *
-                     operandB(warp, inst, lane);
+          case SpecialReg::WarpId:
+            uniform(warp.warpInBlock());
             break;
-          case Opcode::IMAD:
-            result = warp.reg(lane, inst.srcA) *
-                         warp.reg(lane, inst.srcB) +
-                     warp.reg(lane, inst.srcC);
+          case SpecialReg::SmId:
+            uniform(params_.smId);
             break;
-          case Opcode::SHL:
-            result = warp.reg(lane, inst.srcA)
-                     << (operandB(warp, inst, lane) & 63);
-            break;
-          case Opcode::SHR:
-            result = warp.reg(lane, inst.srcA) >>
-                     (operandB(warp, inst, lane) & 63);
-            break;
-          case Opcode::AND:
-            result = warp.reg(lane, inst.srcA) &
-                     operandB(warp, inst, lane);
-            break;
-          case Opcode::OR:
-            result = warp.reg(lane, inst.srcA) |
-                     operandB(warp, inst, lane);
-            break;
-          case Opcode::XOR:
-            result = warp.reg(lane, inst.srcA) ^
-                     operandB(warp, inst, lane);
-            break;
-          case Opcode::IMIN:
-            result = static_cast<RegValue>(
-                std::min(asInt(warp.reg(lane, inst.srcA)),
-                         asInt(operandB(warp, inst, lane))));
-            break;
-          case Opcode::IMAX:
-            result = static_cast<RegValue>(
-                std::max(asInt(warp.reg(lane, inst.srcA)),
-                         asInt(operandB(warp, inst, lane))));
-            break;
-          case Opcode::FADD:
-            result = fromDouble(asDouble(warp.reg(lane, inst.srcA)) +
-                                asDouble(operandB(warp, inst, lane)));
-            break;
-          case Opcode::FMUL:
-            result = fromDouble(asDouble(warp.reg(lane, inst.srcA)) *
-                                asDouble(operandB(warp, inst, lane)));
-            break;
-          case Opcode::FFMA:
-            result = fromDouble(
-                asDouble(warp.reg(lane, inst.srcA)) *
-                    asDouble(warp.reg(lane, inst.srcB)) +
-                asDouble(warp.reg(lane, inst.srcC)));
-            break;
-          case Opcode::I2F:
-            result = fromDouble(static_cast<double>(
-                asInt(warp.reg(lane, inst.srcA))));
-            break;
-          case Opcode::F2I:
-            result = static_cast<RegValue>(static_cast<std::int64_t>(
-                asDouble(warp.reg(lane, inst.srcA))));
-            break;
-          case Opcode::SETP: {
-            const std::int64_t a = asInt(warp.reg(lane, inst.srcA));
-            const std::int64_t b = asInt(operandB(warp, inst, lane));
-            bool v = false;
-            switch (inst.cmp) {
-              case CmpOp::EQ: v = a == b; break;
-              case CmpOp::NE: v = a != b; break;
-              case CmpOp::LT: v = a < b; break;
-              case CmpOp::LE: v = a <= b; break;
-              case CmpOp::GT: v = a > b; break;
-              case CmpOp::GE: v = a >= b; break;
-            }
-            warp.setPredBit(lane, inst.predDst, v);
-            continue; // no register result
-          }
-          default:
-            panic("execAlu on non-ALU opcode ", toString(inst.op));
         }
-        warp.setReg(lane, inst.dst, result);
+        break;
+      case Opcode::CLOCK:
+        uniform(now);
+        break;
+      case Opcode::IADD:
+        binary([](RegValue a, RegValue b) { return a + b; });
+        break;
+      case Opcode::ISUB:
+        binary([](RegValue a, RegValue b) { return a - b; });
+        break;
+      case Opcode::IMUL:
+        binary([](RegValue a, RegValue b) { return a * b; });
+        break;
+      case Opcode::IMAD:
+        write([&](unsigned lane) {
+            return warp.reg(lane, inst.srcA) * warp.reg(lane, inst.srcB) +
+                   warp.reg(lane, inst.srcC);
+        });
+        break;
+      case Opcode::SHL:
+        binary([](RegValue a, RegValue b) { return a << (b & 63); });
+        break;
+      case Opcode::SHR:
+        binary([](RegValue a, RegValue b) { return a >> (b & 63); });
+        break;
+      case Opcode::AND:
+        binary([](RegValue a, RegValue b) { return a & b; });
+        break;
+      case Opcode::OR:
+        binary([](RegValue a, RegValue b) { return a | b; });
+        break;
+      case Opcode::XOR:
+        binary([](RegValue a, RegValue b) { return a ^ b; });
+        break;
+      case Opcode::IMIN:
+        binary([](RegValue a, RegValue b) {
+            return static_cast<RegValue>(std::min(asInt(a), asInt(b)));
+        });
+        break;
+      case Opcode::IMAX:
+        binary([](RegValue a, RegValue b) {
+            return static_cast<RegValue>(std::max(asInt(a), asInt(b)));
+        });
+        break;
+      case Opcode::FADD:
+        binary_f([](double a, double b) { return a + b; });
+        break;
+      case Opcode::FMUL:
+        binary_f([](double a, double b) { return a * b; });
+        break;
+      case Opcode::FFMA:
+        write([&](unsigned lane) {
+            return fromDouble(asDouble(warp.reg(lane, inst.srcA)) *
+                                  asDouble(warp.reg(lane, inst.srcB)) +
+                              asDouble(warp.reg(lane, inst.srcC)));
+        });
+        break;
+      case Opcode::I2F:
+        write([&](unsigned lane) {
+            return fromDouble(
+                static_cast<double>(asInt(warp.reg(lane, inst.srcA))));
+        });
+        break;
+      case Opcode::F2I:
+        write([&](unsigned lane) {
+            return static_cast<RegValue>(static_cast<std::int64_t>(
+                asDouble(warp.reg(lane, inst.srcA))));
+        });
+        break;
+      case Opcode::SETP:
+        switch (inst.cmp) {
+          case CmpOp::EQ: setp(std::equal_to<>{}); break;
+          case CmpOp::NE: setp(std::not_equal_to<>{}); break;
+          case CmpOp::LT: setp(std::less<>{}); break;
+          case CmpOp::LE: setp(std::less_equal<>{}); break;
+          case CmpOp::GT: setp(std::greater<>{}); break;
+          case CmpOp::GE: setp(std::greater_equal<>{}); break;
+        }
+        break;
+      default:
+        panic("execAlu on non-ALU opcode ", toString(inst.op));
     }
 
     if (inst.op == Opcode::SETP) {

@@ -315,6 +315,10 @@ class SmCore : public Clocked
     std::vector<ResidentBlock> blocks_;
     std::vector<WarpScheduler> schedulers_;
     unsigned residentWarps_ = 0;
+    /** Invalid warp slots. Done warps hold their slot until their
+     *  whole block retires, so this is not warpSlots minus
+     *  residentWarps_. */
+    unsigned freeWarpSlots_ = 0;
     unsigned residentBlocks_ = 0;
     unsigned regsUsed_ = 0;
     std::uint32_t smemUsed_ = 0;

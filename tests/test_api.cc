@@ -11,8 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <regex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -682,6 +685,213 @@ TEST(Golden, OverridesChangeTheMachine)
     const Cycle slow = runExperiment(narrow).cycles;
     const Cycle fast = runExperiment(wide).cycles;
     EXPECT_GT(slow, fast);
+}
+
+// ------------------------------------------- non-default record pins
+
+/**
+ * The perfbench goldens run only gf100-sim defaults (FR-FCFS, row
+ * map, open page, one rank, unity clocks, 15 SMs). These cells pin
+ * the scheduler, DRAM-model, clock-grid and crossbar paths those
+ * goldens never reach. Values captured with `gpulat run --json` at
+ * commit d24e189, before the crossbar, DRAM-queue and clock-grid
+ * loops were rewritten. stage_pct.*, engine.group.* and analysis*
+ * are left out on purpose.
+ */
+struct PinnedCell
+{
+    const char *name;
+    ExperimentSpec spec;
+    Cycle cycles;
+    std::uint64_t instructions;
+    std::map<std::string, std::uint64_t> counters;
+};
+
+TEST(RecordPins, NonDefaultPathsMatchCapture)
+{
+    const std::vector<PinnedCell> cells{
+        {"fcfs scheduler",
+         {"gf106", "bfs", {"scale=10"},
+          {"partition.sched=fcfs"}},
+         157521,
+         29540,
+         {
+             {"idle_cycles", 274960},
+             {"icnt.req.transferred", 2559},
+             {"icnt.req.arb_stalls", 145},
+             {"icnt.resp.transferred", 1209},
+             {"icnt.resp.arb_stalls", 42},
+             {"dram.rd_row_closed", 16},
+             {"dram.rd_row_hits", 415},
+             {"dram.rd_row_misses", 117},
+             {"dram.row_closed", 16},
+             {"dram.row_hits", 1047},
+             {"dram.row_misses", 127},
+             {"dram.wr_row_closed", 0},
+             {"dram.wr_row_hits", 632},
+             {"dram.wr_row_misses", 10},
+             {"dram_reads", 548},
+             {"dram_writes", 642},
+             {"engine.core.ticks_run", 128740},
+             {"engine.core.ticks_skipped", 816386},
+             {"engine.icnt.ticks_run", 31733},
+             {"engine.icnt.ticks_skipped", 440830},
+             {"engine.l2.ticks_run", 31207},
+             {"engine.l2.ticks_skipped", 441356},
+             {"engine.dram.ticks_run", 20607},
+             {"engine.dram.ticks_skipped", 294435},
+         }},
+        {"ddr timing, xor map, 2 ranks, closed page",
+         {"gf106", "vecadd", {"n=32768"},
+          {"mem.dram.model=ddr",
+           "mem.dram.map=xor",
+           "mem.dram.ranks=2",
+           "mem.dram.pagePolicy=closed"}},
+         65170,
+         19456,
+         {
+             {"idle_cycles", 243385},
+             {"icnt.req.transferred", 6144},
+             {"icnt.req.arb_stalls", 70},
+             {"icnt.resp.transferred", 4096},
+             {"icnt.resp.arb_stalls", 2047},
+             {"dram.bg0.row_closed", 1536},
+             {"dram.bg0.row_hits", 0},
+             {"dram.bg0.row_misses", 0},
+             {"dram.bg1.row_closed", 1536},
+             {"dram.bg1.row_hits", 0},
+             {"dram.bg1.row_misses", 0},
+             {"dram.bg2.row_closed", 1536},
+             {"dram.bg2.row_hits", 0},
+             {"dram.bg2.row_misses", 0},
+             {"dram.bg3.row_closed", 1536},
+             {"dram.bg3.row_hits", 0},
+             {"dram.bg3.row_misses", 0},
+             {"dram.rd_row_closed", 4096},
+             {"dram.rd_row_hits", 0},
+             {"dram.rd_row_misses", 0},
+             {"dram.row_closed", 6144},
+             {"dram.row_hits", 0},
+             {"dram.row_misses", 0},
+             {"dram.wr_row_closed", 2048},
+             {"dram.wr_row_hits", 0},
+             {"dram.wr_row_misses", 0},
+             {"dram_reads", 4096},
+             {"dram_writes", 2048},
+             {"engine.core.ticks_run", 313998},
+             {"engine.core.ticks_skipped", 77022},
+             {"engine.icnt.ticks_run", 73777},
+             {"engine.icnt.ticks_skipped", 121733},
+             {"engine.l2.ticks_run", 132104},
+             {"engine.l2.ticks_skipped", 63406},
+             {"engine.dram.ticks_run", 70069},
+             {"engine.dram.ticks_skipped", 60271},
+         }},
+        {"slow DRAM, fast icnt, bank-group map",
+         {"gf106", "bfs", {"scale=10"},
+          {"dramClock=1/3", "icntClock=2/1", "mem.dram.map=bg"}},
+         235714,
+         29510,
+         {
+             {"idle_cycles", 453873},
+             {"icnt.req.transferred", 2422},
+             {"icnt.req.arb_stalls", 125},
+             {"icnt.resp.transferred", 1079},
+             {"icnt.resp.arb_stalls", 52},
+             {"dram.rd_row_closed", 16},
+             {"dram.rd_row_hits", 413},
+             {"dram.rd_row_misses", 119},
+             {"dram.row_closed", 16},
+             {"dram.row_hits", 1037},
+             {"dram.row_misses", 131},
+             {"dram.wr_row_closed", 0},
+             {"dram.wr_row_hits", 624},
+             {"dram.wr_row_misses", 12},
+             {"dram_reads", 548},
+             {"dram_writes", 636},
+             {"engine.core.ticks_run", 142216},
+             {"engine.core.ticks_skipped", 1272068},
+             {"engine.icnt.ticks_run", 118403},
+             {"engine.icnt.ticks_skipped", 1295878},
+             {"engine.l2.ticks_run", 58166},
+             {"engine.l2.ticks_skipped", 648976},
+             {"engine.dram.ticks_run", 20113},
+             {"engine.dram.ticks_skipped", 137031},
+         }},
+        {"tiny starvation limit",
+         {"gf106", "bfs", {"scale=10"},
+          {"mem.dram.starveLimit=16"}},
+         148026,
+         29510,
+         {
+             {"idle_cycles", 248472},
+             {"icnt.req.transferred", 2512},
+             {"icnt.req.arb_stalls", 150},
+             {"icnt.resp.transferred", 1167},
+             {"icnt.resp.arb_stalls", 32},
+             {"dram.rd_row_closed", 16},
+             {"dram.rd_row_hits", 412},
+             {"dram.rd_row_misses", 120},
+             {"dram.row_closed", 16},
+             {"dram.row_hits", 1037},
+             {"dram.row_misses", 131},
+             {"dram.wr_row_closed", 0},
+             {"dram.wr_row_hits", 625},
+             {"dram.wr_row_misses", 11},
+             {"dram_reads", 548},
+             {"dram_writes", 636},
+             {"engine.core.ticks_run", 118291},
+             {"engine.core.ticks_skipped", 769865},
+             {"engine.icnt.ticks_run", 27759},
+             {"engine.icnt.ticks_skipped", 416319},
+             {"engine.l2.ticks_run", 24285},
+             {"engine.l2.ticks_skipped", 419793},
+             {"engine.dram.ticks_run", 16574},
+             {"engine.dram.ticks_skipped", 279478},
+         }},
+        {"70 SMs on 3 partitions",
+         {"gf106", "vecadd", {"n=65536"},
+          {"numSms=70", "numPartitions=3"}},
+         96148,
+         38912,
+         {
+             {"idle_cycles", 5808771},
+             {"icnt.req.transferred", 12288},
+             {"icnt.req.arb_stalls", 260820},
+             {"icnt.resp.transferred", 8192},
+             {"icnt.resp.arb_stalls", 1},
+             {"dram.rd_row_closed", 24},
+             {"dram.rd_row_hits", 2341},
+             {"dram.rd_row_misses", 5827},
+             {"dram.row_closed", 24},
+             {"dram.row_hits", 3265},
+             {"dram.row_misses", 8999},
+             {"dram.wr_row_closed", 0},
+             {"dram.wr_row_hits", 924},
+             {"dram.wr_row_misses", 3172},
+             {"dram_reads", 8192},
+             {"dram_writes", 4096},
+             {"engine.core.ticks_run", 5946854},
+             {"engine.core.ticks_skipped", 975802},
+             {"engine.icnt.ticks_run", 195416},
+             {"engine.icnt.ticks_skipped", 93028},
+             {"engine.l2.ticks_run", 375785},
+             {"engine.l2.ticks_skipped", 8807},
+             {"engine.dram.ticks_run", 154927},
+             {"engine.dram.ticks_skipped", 133517},
+         }},
+    };
+    for (const PinnedCell &cell : cells) {
+        SCOPED_TRACE(cell.name);
+        const ExperimentRecord rec = runExperiment(cell.spec);
+        EXPECT_TRUE(rec.correct);
+        EXPECT_EQ(rec.cycles, cell.cycles);
+        EXPECT_EQ(rec.instructions, cell.instructions);
+        for (const auto &[key, value] : cell.counters) {
+            ASSERT_TRUE(rec.counters.count(key)) << key;
+            EXPECT_EQ(rec.counters.at(key), value) << key;
+        }
+    }
 }
 
 } // namespace

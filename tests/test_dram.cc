@@ -5,6 +5,8 @@
  */
 
 #include <algorithm>
+#include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,15 +34,16 @@ testParams()
     return p;
 }
 
-MemRequest
-req(Addr line, Cycle enq = 0)
+/** A request for @p line queued at @p enq, mapped on @p ch. */
+DramQueueEntry
+entry(const DramChannel &ch, Addr line, Cycle enq = 0)
 {
     MemRequest r;
     r.lineAddr = line;
     // The scheduler asserts every request carries its enqueue cycle
     // (anti-starvation aging would otherwise be silently disabled).
     r.trace.dramEnq = enq;
-    return r;
+    return DramQueueEntry{r, ch.coordOf(line)};
 }
 
 TEST(DramChannel, ClosedBankPaysActivate)
@@ -48,7 +51,8 @@ TEST(DramChannel, ClosedBankPaysActivate)
     StatRegistry stats;
     DramChannel ch("d", testParams(), &stats);
     // closed: tRCD + tCAS + burst
-    EXPECT_EQ(ch.schedule(0, false, 100), 100u + 20 + 10 + 4);
+    EXPECT_EQ(ch.schedule(ch.coordOf(0), false, 100),
+              100u + 20 + 10 + 4);
     EXPECT_EQ(stats.counterValue("d.row_closed"), 1u);
 }
 
@@ -56,10 +60,10 @@ TEST(DramChannel, RowHitSkipsActivate)
 {
     StatRegistry stats;
     DramChannel ch("d", testParams(), &stats);
-    const Cycle first = ch.schedule(0, false, 100);
+    const Cycle first = ch.schedule(ch.coordOf(0), false, 100);
     // Same row (within 1KB), bank now open.
-    EXPECT_TRUE(ch.rowHit(128));
-    const Cycle second = ch.schedule(128, false, first);
+    EXPECT_TRUE(ch.rowHit(ch.coordOf(128)));
+    const Cycle second = ch.schedule(ch.coordOf(128), false, first);
     EXPECT_EQ(second, first + 10 + 4);
     EXPECT_EQ(stats.counterValue("d.row_hits"), 1u);
 }
@@ -69,12 +73,12 @@ TEST(DramChannel, RowConflictPaysPrechargePlusActivate)
     StatRegistry stats;
     DramParams p = testParams();
     DramChannel ch("d", p, &stats);
-    ch.schedule(0, false, 0);
+    ch.schedule(ch.coordOf(0), false, 0);
     // Same bank, different row: bank stride is banks*rowBytes.
     const Addr conflict = p.banks * p.rowBytes;
-    EXPECT_FALSE(ch.rowHit(conflict));
+    EXPECT_FALSE(ch.rowHit(ch.coordOf(conflict)));
     const Cycle start = 1000; // bank long idle
-    EXPECT_EQ(ch.schedule(conflict, false, start),
+    EXPECT_EQ(ch.schedule(ch.coordOf(conflict), false, start),
               start + 15 + 20 + 10 + 4);
     EXPECT_EQ(stats.counterValue("d.row_misses"), 1u);
 }
@@ -84,12 +88,12 @@ TEST(DramChannel, BanksMapRowsRoundRobin)
     StatRegistry stats;
     DramParams p = testParams();
     DramChannel ch("d", p, &stats);
-    EXPECT_EQ(ch.bankOf(0), 0u);
-    EXPECT_EQ(ch.bankOf(p.rowBytes), 1u);
-    EXPECT_EQ(ch.bankOf(3 * p.rowBytes), 3u);
-    EXPECT_EQ(ch.bankOf(4 * p.rowBytes), 0u);
-    EXPECT_EQ(ch.rowOf(0), ch.rowOf(512));
-    EXPECT_NE(ch.rowOf(0), ch.rowOf(4 * p.rowBytes));
+    EXPECT_EQ(ch.coordOf(0).flatBank, 0u);
+    EXPECT_EQ(ch.coordOf(p.rowBytes).flatBank, 1u);
+    EXPECT_EQ(ch.coordOf(3 * p.rowBytes).flatBank, 3u);
+    EXPECT_EQ(ch.coordOf(4 * p.rowBytes).flatBank, 0u);
+    EXPECT_EQ(ch.coordOf(0).row, ch.coordOf(512).row);
+    EXPECT_NE(ch.coordOf(0).row, ch.coordOf(4 * p.rowBytes).row);
 }
 
 TEST(DramChannel, DataBusSerializesBursts)
@@ -98,8 +102,8 @@ TEST(DramChannel, DataBusSerializesBursts)
     DramChannel ch("d", testParams(), &stats);
     // Two different banks issued back to back: both pay activate,
     // but their bursts must not overlap on the shared bus.
-    const Cycle a = ch.schedule(0, false, 0);
-    const Cycle b = ch.schedule(1024, false, 0);
+    const Cycle a = ch.schedule(ch.coordOf(0), false, 0);
+    const Cycle b = ch.schedule(ch.coordOf(1024), false, 0);
     EXPECT_GE(b, a + 4); // at least one burst apart
 }
 
@@ -112,7 +116,8 @@ TEST(DramChannel, CompletionsAreMonotonicInScheduleOrder)
     Cycle now = 0;
     for (int i = 0; i < 1000; ++i) {
         const Addr line = rng.below(1 << 14) * 128;
-        const Cycle done = ch.schedule(line, rng.below(2), now);
+        const Cycle done =
+            ch.schedule(ch.coordOf(line), rng.below(2), now);
         EXPECT_GE(done, prev);
         prev = done;
         now += rng.below(30);
@@ -123,7 +128,7 @@ TEST(DramSched, FcfsPicksHeadOnly)
 {
     StatRegistry stats;
     DramChannel ch("d", testParams(), &stats);
-    std::deque<MemRequest> q{req(0), req(128)};
+    std::deque<DramQueueEntry> q{entry(ch, 0), entry(ch, 128)};
     const auto pick =
         pickDramRequest(DramSchedPolicy::FCFS, q, ch, 10);
     ASSERT_TRUE(pick.has_value());
@@ -134,8 +139,8 @@ TEST(DramSched, FcfsWaitsForBusyBank)
 {
     StatRegistry stats;
     DramChannel ch("d", testParams(), &stats);
-    ch.schedule(0, false, 0); // bank 0 busy until ~34
-    std::deque<MemRequest> q{req(128)};
+    ch.schedule(ch.coordOf(0), false, 0); // bank 0 busy until ~34
+    std::deque<DramQueueEntry> q{entry(ch, 128)};
     EXPECT_FALSE(
         pickDramRequest(DramSchedPolicy::FCFS, q, ch, 5).has_value());
     EXPECT_TRUE(
@@ -148,12 +153,13 @@ TEST(DramSched, FrFcfsPrefersRowHitOverOlder)
     StatRegistry stats;
     DramParams p = testParams();
     DramChannel ch("d", p, &stats);
-    ch.schedule(0, false, 0); // opens row 0 of bank 0
+    ch.schedule(ch.coordOf(0), false, 0); // opens row 0 of bank 0
     const Cycle ready = 100;
 
     // Head is a row conflict (bank 0, other row); second entry is a
     // row hit in bank 0.
-    std::deque<MemRequest> q{req(p.banks * p.rowBytes), req(256)};
+    std::deque<DramQueueEntry> q{entry(ch, p.banks * p.rowBytes),
+                                 entry(ch, 256)};
     const auto pick =
         pickDramRequest(DramSchedPolicy::FRFCFS, q, ch, ready);
     ASSERT_TRUE(pick.has_value());
@@ -166,7 +172,7 @@ TEST(DramSched, FrFcfsFallsBackToOldestReady)
     DramParams p = testParams();
     DramChannel ch("d", p, &stats);
     // No open rows anywhere: oldest wins.
-    std::deque<MemRequest> q{req(512), req(0)};
+    std::deque<DramQueueEntry> q{entry(ch, 512), entry(ch, 0)};
     const auto pick =
         pickDramRequest(DramSchedPolicy::FRFCFS, q, ch, 0);
     ASSERT_TRUE(pick.has_value());
@@ -177,7 +183,7 @@ TEST(DramSched, EmptyQueueYieldsNothing)
 {
     StatRegistry stats;
     DramChannel ch("d", testParams(), &stats);
-    std::deque<MemRequest> q;
+    std::deque<DramQueueEntry> q;
     EXPECT_FALSE(pickDramRequest(DramSchedPolicy::FRFCFS, q, ch, 0)
                      .has_value());
 }
@@ -281,7 +287,8 @@ TEST(DramDdr, ColdAccessMatchesSimpleModel)
     StatRegistry stats;
     DramChannel ch("d", ddrParams(), &stats);
     // No prior activity: only ACT + CAS + burst, like `simple`.
-    EXPECT_EQ(ch.schedule(0, false, 100), 100u + 20 + 10 + 4);
+    EXPECT_EQ(ch.schedule(ch.coordOf(0), false, 100),
+              100u + 20 + 10 + 4);
     EXPECT_EQ(stats.counterValue("d.row_closed"), 1u);
     EXPECT_EQ(stats.counterValue("d.rd_row_closed"), 1u);
     EXPECT_EQ(stats.counterValue("d.bg0.row_closed"), 1u);
@@ -292,11 +299,11 @@ TEST(DramDdr, TRasDelaysPrechargeOnRowConflict)
     StatRegistry stats;
     DramParams p = ddrParams();
     DramChannel ch("d", p, &stats);
-    ch.schedule(0, false, 0); // ACT bank 0 at cycle 0
+    ch.schedule(ch.coordOf(0), false, 0); // ACT bank 0 at cycle 0
     // Conflict in bank 0 at cycle 40: PRE must wait for tRAS (ACT
     // 0 + 50), then pay tRP + tRCD + tCAS.
     const Addr conflict = p.banks * p.rowBytes;
-    EXPECT_EQ(ch.schedule(conflict, false, 40),
+    EXPECT_EQ(ch.schedule(ch.coordOf(conflict), false, 40),
               50u + 15 + 20 + 10 + 4);
 }
 
@@ -308,8 +315,8 @@ TEST(DramDdr, SameGroupActivatePairSlowerThanCrossGroup)
     for (Addr second : {Addr{1024}, Addr{2 * 1024}}) {
         StatRegistry stats;
         DramChannel ch("d", ddrParams(), &stats);
-        ch.schedule(0, false, 0);
-        done[i++] = ch.schedule(second, false, 0);
+        ch.schedule(ch.coordOf(0), false, 0);
+        done[i++] = ch.schedule(ch.coordOf(second), false, 0);
     }
     // Same group: ACT held tRRD_L(12) -> data at 12+30, done 46.
     EXPECT_EQ(done[0], 46u);
@@ -329,7 +336,8 @@ TEST(DramDdr, TFawCapsFifthActivate)
     // the two-bank groups); the fifth must wait for the first + tFAW.
     Cycle done = 0;
     for (unsigned b = 0; b <= 4; ++b)
-        done = ch.schedule(Addr{b} * p.rowBytes, false, 0);
+        done = ch.schedule(ch.coordOf(Addr{b} * p.rowBytes), false,
+                           0);
     // ACT at max(36, 0 + tFAW=60) = 60 -> data 90 -> done 94.
     EXPECT_EQ(done, 94u);
 }
@@ -338,14 +346,14 @@ TEST(DramDdr, ReadWriteTurnaroundChargesBusSwitch)
 {
     StatRegistry stats;
     DramChannel ch("d", ddrParams(), &stats);
-    const Cycle rd = ch.schedule(0, false, 0);
+    const Cycle rd = ch.schedule(ch.coordOf(0), false, 0);
     EXPECT_EQ(rd, 34u); // burst ends 34
     // Write hit at 40 would burst at 50, but tRTW holds the bus
     // until read-end 34 + 25 = 59.
-    EXPECT_EQ(ch.schedule(128, true, 40), 59u + 4);
+    EXPECT_EQ(ch.schedule(ch.coordOf(128), true, 40), 59u + 4);
     // Read hit at 63 would burst at 73, but tWTR holds it until
     // write-end 63 + 30 = 93.
-    EXPECT_EQ(ch.schedule(256, false, 63), 93u + 4);
+    EXPECT_EQ(ch.schedule(ch.coordOf(256), false, 63), 93u + 4);
     EXPECT_EQ(stats.counterValue("d.wr_row_hits"), 1u);
     EXPECT_EQ(stats.counterValue("d.rd_row_hits"), 1u);
 }
@@ -354,12 +362,13 @@ TEST(DramDdr, RefreshClosesRowsAndStallsRank)
 {
     StatRegistry stats;
     DramChannel ch("d", ddrParams(), &stats);
-    ch.schedule(0, false, 0); // open bank 0 row 0
-    EXPECT_TRUE(ch.rowHit(0));
+    ch.schedule(ch.coordOf(0), false, 0); // open bank 0 row 0
+    EXPECT_TRUE(ch.rowHit(ch.coordOf(0)));
 
     // Epoch 1 occupies [1000, 1120): an access at 1005 waits it out
     // and finds its row closed.
-    EXPECT_EQ(ch.schedule(0, false, 1005), 1120u + 20 + 10 + 4);
+    EXPECT_EQ(ch.schedule(ch.coordOf(0), false, 1005),
+              1120u + 20 + 10 + 4);
     EXPECT_EQ(stats.counterValue("d.refreshes"), 1u);
     EXPECT_EQ(stats.counterValue("d.refresh_stall_cycles"), 115u);
     EXPECT_EQ(stats.counterValue("d.row_closed"), 2u);
@@ -370,10 +379,10 @@ TEST(DramDdr, RefreshCatchUpAfterLongIdleCountsEveryEpoch)
 {
     StatRegistry stats;
     DramChannel ch("d", ddrParams(), &stats);
-    ch.schedule(0, false, 0);
+    ch.schedule(ch.coordOf(0), false, 0);
     // Jump over three epochs: rows are closed exactly once per
     // epoch, and only the last epoch's window can still stall.
-    ch.schedule(0, false, 3500);
+    ch.schedule(ch.coordOf(0), false, 3500);
     EXPECT_EQ(stats.counterValue("d.refreshes"), 3u);
     EXPECT_EQ(stats.counterValue("d.refresh_stall_cycles"), 0u);
 }
@@ -384,9 +393,9 @@ TEST(DramDdr, ClosedPagePolicyAutoPrecharges)
     DramParams p = ddrParams();
     p.page = DramPagePolicy::Closed;
     DramChannel ch("d", p, &stats);
-    ch.schedule(0, false, 0);
-    EXPECT_FALSE(ch.rowHit(0));
-    ch.schedule(0, false, 200);
+    ch.schedule(ch.coordOf(0), false, 0);
+    EXPECT_FALSE(ch.rowHit(ch.coordOf(0)));
+    ch.schedule(ch.coordOf(0), false, 200);
     EXPECT_EQ(stats.counterValue("d.row_closed"), 2u);
     EXPECT_EQ(stats.counterValue("d.row_hits"), 0u);
 }
@@ -398,13 +407,13 @@ TEST(DramDdr, RefreshEpochsCountOnce)
     // any refresh again.
     StatRegistry stats;
     DramChannel ch("d", ddrParams(), &stats);
-    ch.schedule(0, false, 0);
-    ch.schedule(0, false, 3500);
+    ch.schedule(ch.coordOf(0), false, 0);
+    ch.schedule(ch.coordOf(0), false, 3500);
     EXPECT_EQ(stats.counterValue("d.refreshes"), 3u);
-    ch.schedule(0, false, 3600);
+    ch.schedule(ch.coordOf(0), false, 3600);
     EXPECT_EQ(stats.counterValue("d.refreshes"), 3u);
     // The next epoch still counts once.
-    ch.schedule(0, false, 4000);
+    ch.schedule(ch.coordOf(0), false, 4000);
     EXPECT_EQ(stats.counterValue("d.refreshes"), 4u);
 }
 
@@ -420,7 +429,8 @@ TEST(DramDdr, CompletionsMonotonicUnderRandomTraffic)
     Cycle now = 0;
     for (int i = 0; i < 2000; ++i) {
         const Addr line = rng.below(1 << 14) * 128;
-        const Cycle done = ch.schedule(line, rng.below(2), now);
+        const Cycle done =
+            ch.schedule(ch.coordOf(line), rng.below(2), now);
         EXPECT_GE(done, prev);
         prev = done;
         now += rng.below(50);
@@ -486,7 +496,7 @@ struct FoldHarness
     {
         const std::uint64_t total = ref.banks.size();
         const Addr line = (row * total + bank) * params.rowBytes;
-        const Cycle got = ch.schedule(line, is_write, now);
+        const Cycle got = ch.schedule(ch.coordOf(line), is_write, now);
         const Cycle want = ref.schedule(bank, row, now);
         if (got != want ||
             stats.counterValue("d.row_hits") != ref.hits ||
@@ -628,11 +638,11 @@ TEST(DramSched, FrFcfsStarvationBypassesRowHits)
     StatRegistry stats;
     DramParams p = testParams();
     DramChannel ch("d", p, &stats);
-    ch.schedule(0, false, 0); // opens row 0 of bank 0
+    ch.schedule(ch.coordOf(0), false, 0); // opens row 0 of bank 0
 
     // Head: row conflict enqueued at 0. Behind it: a fresh row hit.
-    std::deque<MemRequest> q{req(p.banks * p.rowBytes, 0),
-                             req(256, 95)};
+    std::deque<DramQueueEntry> q{entry(ch, p.banks * p.rowBytes, 0),
+                                 entry(ch, 256, 95)};
     // Young head: the row hit still wins.
     auto pick = pickDramRequest(DramSchedPolicy::FRFCFS, q, ch, 100,
                                 /*starvation_limit=*/200);
@@ -651,7 +661,7 @@ TEST(DramSched, UnstampedRequestPanics)
     DramChannel ch("d", testParams(), &stats);
     MemRequest r;
     r.lineAddr = 0; // trace.dramEnq left as kNoCycle
-    std::deque<MemRequest> q{r};
+    std::deque<DramQueueEntry> q{{r, ch.coordOf(0)}};
     EXPECT_THROW(
         pickDramRequest(DramSchedPolicy::FRFCFS, q, ch, 1000),
         PanicError);
@@ -669,7 +679,7 @@ TEST(DramSchedProperty, FrFcfsRowHitRateDominatesFcfs)
             StatRegistry stats;
             DramChannel ch("d", testParams(), &stats);
             Rng rng(seed);
-            std::deque<MemRequest> q;
+            std::deque<DramQueueEntry> q;
             Cycle now = 0;
             int completed = 0;
             while (completed < 500) {
@@ -677,11 +687,11 @@ TEST(DramSchedProperty, FrFcfsRowHitRateDominatesFcfs)
                 while (q.size() < 16) {
                     const Addr line =
                         rng.below(8) * 1024 * 4 + rng.below(8) * 128;
-                    q.push_back(req(line));
+                    q.push_back(entry(ch, line));
                 }
                 if (auto pick =
                         pickDramRequest(policy, q, ch, now)) {
-                    ch.schedule(q[*pick].lineAddr, false, now);
+                    ch.schedule(q[*pick].coord, false, now);
                     q.erase(q.begin() +
                             static_cast<std::ptrdiff_t>(*pick));
                     ++completed;
@@ -691,6 +701,128 @@ TEST(DramSchedProperty, FrFcfsRowHitRateDominatesFcfs)
             hits[idx++] = stats.counterValue("d.row_hits");
         }
         EXPECT_GE(hits[1], hits[0]) << "seed " << seed;
+    }
+}
+
+/** The address-taking channel queries the reference picker calls,
+ *  answered by mapping the address on every call as they did. */
+struct AddrChannel
+{
+    bool
+    bankReady(Addr line_addr, Cycle now) const
+    {
+        return ch.bankReady(ch.coordOf(line_addr), now);
+    }
+    bool
+    rowHit(Addr line_addr) const
+    {
+        return ch.rowHit(ch.coordOf(line_addr));
+    }
+
+    const DramChannel &ch;
+};
+
+/** The picker before queued requests carried their coordinate: it
+ *  re-mapped every queued address on every call (body verbatim). */
+std::optional<std::size_t>
+referencePickDramRequest(DramSchedPolicy policy,
+                         const std::deque<MemRequest> &queue,
+                         const AddrChannel &channel, Cycle now,
+                         Cycle starvation_limit)
+{
+    if (queue.empty())
+        return std::nullopt;
+
+    if (policy == DramSchedPolicy::FCFS) {
+        // Strictly oldest-first; wait for its bank if necessary.
+        return channel.bankReady(queue.front().dramAddr(), now)
+            ? std::optional<std::size_t>(0)
+            : std::nullopt;
+    }
+
+    // Anti-starvation: when the oldest request has been bypassed for
+    // too long, stop preferring row hits over it. An unstamped
+    // enqueue cycle would silently disable this forever, so it is a
+    // bug in the producer (pushDram() stamps every request).
+    const Cycle head_enq = queue.front().trace.dramEnq;
+    GPULAT_ASSERT(head_enq != kNoCycle,
+                  "DRAM request reached the scheduler without a "
+                  "dramEnq stamp: anti-starvation would be disabled");
+    const bool starving = now - head_enq > starvation_limit;
+
+    // FR-FCFS: oldest ready row-hit first, then oldest ready request.
+    std::optional<std::size_t> oldest_ready;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        if (!channel.bankReady(queue[i].dramAddr(), now))
+            continue;
+        if (!starving && channel.rowHit(queue[i].dramAddr()))
+            return i;
+        if (!oldest_ready)
+            oldest_ready = i;
+        if (starving)
+            break; // serve strictly oldest-ready
+    }
+    return oldest_ready;
+}
+
+/** Property: on random request streams the picker returns what the
+ *  reference returns, for both policies, tiny and default
+ *  starvation limits, every address map and 1 or 2 ranks. The bank
+ *  states come from scheduling the picks themselves. */
+TEST(DramSchedProperty, MatchesReferencePicker)
+{
+    for (const auto policy :
+         {DramSchedPolicy::FCFS, DramSchedPolicy::FRFCFS}) {
+        for (const Cycle limit : {Cycle{4}, Cycle{768}}) {
+            for (const auto map : {DramAddrMap::Row, DramAddrMap::BankGroup,
+                                   DramAddrMap::Xor}) {
+                for (const unsigned ranks : {1u, 2u}) {
+                    DramParams p = ddrParams();
+                    p.map = map;
+                    p.ranks = ranks;
+                    StatRegistry stats;
+                    DramChannel ch("d", p, &stats);
+                    const AddrChannel addr_ch{ch};
+                    std::deque<DramQueueEntry> q;
+                    std::deque<MemRequest> ref_q;
+                    Rng rng(ranks * 10 + static_cast<unsigned>(map));
+                    unsigned picks = 0;
+                    for (Cycle now = 0; now < 20000; ++now) {
+                        if (q.size() < 16 && rng.below(3) != 0) {
+                            // Few rows over all banks: hits, conflicts
+                            // and busy banks all occur often.
+                            MemRequest r;
+                            r.sliceAddr = (rng.below(64) * p.rowBytes +
+                                           rng.below(8) * 128);
+                            r.isWrite = rng.below(4) == 0;
+                            r.trace.dramEnq = now;
+                            q.push_back({r, ch.coordOf(r.dramAddr())});
+                            ref_q.push_back(r);
+                        }
+                        const auto pick =
+                            pickDramRequest(policy, q, ch, now, limit);
+                        ASSERT_EQ(pick, referencePickDramRequest(
+                                            policy, ref_q, addr_ch, now,
+                                            limit))
+                            << toString(policy) << " limit " << limit
+                            << " map " << toString(map) << " ranks "
+                            << ranks << " cycle " << now;
+                        if (!pick)
+                            continue;
+                        const auto at =
+                            static_cast<std::ptrdiff_t>(*pick);
+                        ch.schedule(q[*pick].coord,
+                                    q[*pick].req.isWrite, now);
+                        q.erase(q.begin() + at);
+                        ref_q.erase(ref_q.begin() + at);
+                        ++picks;
+                    }
+                    EXPECT_GT(picks, 500u);
+                    EXPECT_GT(stats.counterValue("d.row_hits"), 0u);
+                    EXPECT_GT(stats.counterValue("d.row_misses"), 0u);
+                }
+            }
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.hh"
 #include "engine/tick_engine.hh"
 #include "gpu/gpu.hh"
 #include "isa/assembler.hh"
@@ -115,6 +116,97 @@ TEST(ClockDomain, NextTickNeverOvershootsFractionalGrids)
                     << r.mul << ":" << r.div << " e=" << e
                     << " c=" << c;
             }
+        }
+    }
+}
+
+/** The grid arithmetic before its 64-bit fast paths, kept verbatim:
+ *  every value through a 128-bit intermediate. */
+namespace wide_reference {
+
+using Wide = unsigned __int128;
+
+Cycle
+narrow(Wide v)
+{
+    return v >= Wide{kNoCycle} ? kNoCycle : static_cast<Cycle>(v);
+}
+
+Cycle
+tickCycle(Cycle k, ClockRatio ratio)
+{
+    // A saturated tick index means "never": on a fast grid
+    // (mul > div) the division below would otherwise shrink the
+    // sentinel back into a finite — and bogus — cycle.
+    if (k == kNoCycle)
+        return kNoCycle;
+    return narrow((Wide{k} * ratio.div + ratio.mul - 1) / ratio.mul);
+}
+
+Cycle
+ticksThrough(Cycle c, ClockRatio ratio)
+{
+    // Tick k lands on ceil(k * div / mul), so ticks with
+    // k * div <= c * mul have happened by the end of cycle c:
+    // floor(c * mul / div) of them with k >= 1, plus tick 0.
+    return narrow(Wide{c} * ratio.mul / ratio.div + 1);
+}
+
+Cycle
+firstTickAtOrAfter(Cycle e, ClockRatio ratio)
+{
+    // ceil(k * div / mul) >= e  <=>  k * div > (e - 1) * mul
+    //                           <=>  k > (e - 1) * mul / div.
+    if (e == 0)
+        return 0;
+    return narrow(Wide{e - 1} * ratio.mul / ratio.div + 1);
+}
+
+} // namespace wide_reference
+
+/** Property: the 64-bit fast paths and their 128-bit fallback agree
+ *  with the all-wide reference on every ratio up to 2^32-1 and on
+ *  the arguments where 64 bits stop sufficing. */
+TEST(ClockDomainProperty, MatchesWideArithmetic)
+{
+    constexpr unsigned kMax = 0xffffffffu;
+    std::vector<ClockRatio> ratios{{1, 1},    {1, 2},       {2, 1},
+                                   {3, 7},    {7, 3},       {kMax, 1},
+                                   {1, kMax}, {kMax, kMax}, {kMax, 2}};
+    Rng rng(23);
+    for (int i = 0; i < 200; ++i) {
+        // Spread magnitudes: up to 2^1 .. 2^32 - 1.
+        auto draw = [&] {
+            const auto bits = static_cast<unsigned>(rng.range(1, 32));
+            return static_cast<unsigned>(
+                rng.range(1, (std::uint64_t{1} << bits) - 1));
+        };
+        ratios.push_back(ClockRatio{draw(), draw()});
+    }
+
+    for (const ClockRatio r : ratios) {
+        std::vector<Cycle> args{0, 1, 2, kNoCycle - 2, kNoCycle - 1,
+                                kNoCycle};
+        // Either side of where x * mul (or x * div) leaves 64 bits.
+        for (const unsigned v : {r.mul, r.div}) {
+            const Cycle edge = kNoCycle / v;
+            for (const Cycle x : {edge - 1, edge, edge + 1})
+                args.push_back(x);
+        }
+        for (int i = 0; i < 20; ++i) {
+            args.push_back(rng.next());
+            args.push_back(rng.next() >> rng.range(1, 63));
+        }
+        for (const Cycle x : args) {
+            ASSERT_EQ(ClockDomain::tickCycle(x, r),
+                      wide_reference::tickCycle(x, r))
+                << r.mul << "/" << r.div << " k=" << x;
+            ASSERT_EQ(ClockDomain::ticksThrough(x, r),
+                      wide_reference::ticksThrough(x, r))
+                << r.mul << "/" << r.div << " c=" << x;
+            ASSERT_EQ(ClockDomain::firstTickAtOrAfter(x, r),
+                      wide_reference::firstTickAtOrAfter(x, r))
+                << r.mul << "/" << r.div << " e=" << x;
         }
     }
 }

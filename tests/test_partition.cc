@@ -4,8 +4,11 @@
  * merging, writes, no-L2 (Tesla) bypass, and trace stamping.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "mem/partition.hh"
 
 namespace gpulat {
@@ -232,6 +235,23 @@ TEST(Partition, BackpressuresWhenRopFull)
     part.accept(0, readReq(0, 1));
     part.accept(0, readReq(128, 2));
     EXPECT_FALSE(part.canAccept());
+}
+
+TEST(Partition, EmptyDramQueueIsANamedError)
+{
+    // With no DRAM-queue room every L2 miss would wait forever.
+    StatRegistry stats;
+    PartitionParams p = testParams();
+    p.dramQueueSize = 0;
+    try {
+        MemPartition part(0, p, &stats);
+        FAIL() << "dramQueueSize=0 accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "partition.dramQueueSize must be > 0"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -146,7 +146,8 @@ randomInstruction(Rng &rng, KernelBuilder &builder)
     static const Opcode kAluOps[] = {
         Opcode::MOV, Opcode::IADD, Opcode::ISUB, Opcode::IMUL,
         Opcode::SHL, Opcode::SHR, Opcode::AND, Opcode::OR,
-        Opcode::XOR, Opcode::IMIN, Opcode::IMAX,
+        Opcode::XOR, Opcode::IMIN, Opcode::IMAX, Opcode::FADD,
+        Opcode::FMUL,
     };
 
     Instruction inst;
@@ -212,11 +213,17 @@ randomInstruction(Rng &rng, KernelBuilder &builder)
         const Opcode op = kAluOps[rng.below(std::size(kAluOps))];
         const int rd = reg();
         if (op == Opcode::MOV) {
+            inst.op = Opcode::MOV;
+            inst.dst = rd;
+            if (rng.below(2)) {
+                const int rs = reg();
+                builder.movReg(rd, rs);
+                inst.srcB = rs;
+                break;
+            }
             const auto imm = static_cast<std::int64_t>(rng.next() &
                                                        0xffffff);
             builder.movImm(rd, imm);
-            inst.op = Opcode::MOV;
-            inst.dst = rd;
             inst.imm = imm;
             inst.useImm = true;
             break;
