@@ -1,72 +1,48 @@
 /**
  * @file
- * Pointer-chase survey: sweeps the chase footprint on each GPU
- * generation and prints the latency-vs-footprint curve plus the
- * hierarchy levels the plateau detector recovers — the §II
- * methodology of the paper, end to end.
+ * Pointer-chase survey: the §II methodology of the paper, end to
+ * end. measureTable1() sweeps the chase footprint on each GPU
+ * generation and reads the hierarchy levels off the latency
+ * plateaus (the paper's Table I); a stride sweep beyond the first
+ * cache level then recovers each generation's line size.
+ *
+ * Build & run:  ./build/example_pchase_survey
  */
 
 #include <iostream>
 
-#include "common/table.hh"
 #include "latency/static_analyzer.hh"
 #include "microbench/sweep.hh"
+#include "microbench/table1.hh"
 
 int
 main()
 {
     using namespace gpulat;
 
-    for (const char *name : {"gt200", "gf106", "gk104", "gm107"}) {
+    std::cout << "Table I: idle latencies of the global memory "
+                 "pipeline (core cycles)\n";
+    printTable1(std::cout, measureTable1());
+
+    // Stride sweep (the other axis of the paper's methodology):
+    // with the footprint past the first cache level every line
+    // transition misses, so the latency saturates at its line size.
+    // GT200 caches nothing, so it has no line size to find.
+    std::cout << "\ninferred line size:\n";
+    bool ok = true;
+    for (const char *name : {"gf106", "gk104", "gm107"}) {
         const GpuConfig cfg = makeConfig(name);
-        std::cout << "=== " << cfg.name << " ===\n";
-
-        std::vector<std::uint64_t> fps;
-        const std::uint64_t l1 = cfg.sm.l1Cache.capacityBytes;
-        const std::uint64_t l2 = cfg.totalL2Bytes();
-        if (cfg.sm.l1Enabled && cfg.sm.l1CachesGlobal)
-            for (std::uint64_t fp : {l1 / 4, l1 / 2, l1})
-                fps.push_back(fp);
-        if (l2 > 0)
-            for (std::uint64_t fp :
-                 {l2 / 8, l2 / 4, l2 / 2, l2, 2 * l2, 3 * l2})
-                fps.push_back(fp);
-        else
-            fps = {64 * 1024, 256 * 1024, 1024 * 1024};
-
+        const std::uint64_t fp = cfg.sm.l1Enabled &&
+                                  cfg.sm.l1CachesGlobal
+            ? cfg.sm.l1Cache.capacityBytes * 8
+            : cfg.totalL2Bytes() * 2;
         SweepOptions opts;
-        opts.strideBytes = cfg.sm.lineBytes;
         opts.timedAccesses = 512;
-        const auto curve = sweepFootprints(cfg, fps, opts);
-
-        TextTable table({"footprint (KB)", "cycles/access"});
-        for (const auto &point : curve)
-            table.addRow({std::to_string(point.footprintBytes / 1024),
-                          formatDouble(point.latency, 1)});
-        table.print(std::cout);
-
-        std::cout << "detected levels:\n";
-        for (const auto &level : detectPlateaus(curve)) {
-            std::cout << "  " << formatDouble(level.latency, 1)
-                      << " cycles up to "
-                      << level.maxFootprint / 1024 << " KB\n";
-        }
-
-        // Stride sweep (the other axis of the paper's methodology):
-        // saturates at the line size of the first cache level.
-        if (l2 > 0) {
-            const std::uint64_t fp = cfg.sm.l1Enabled &&
-                                      cfg.sm.l1CachesGlobal
-                ? cfg.sm.l1Cache.capacityBytes * 8
-                : l2 * 2;
-            SweepOptions sopts = opts;
-            sopts.warmupMaxFootprint = 0; // all-miss regime
-            const auto stride_curve = sweepStrides(
-                cfg, fp, {8, 16, 32, 64, 128, 256}, sopts);
-            std::cout << "inferred line size: "
-                      << detectLineSize(stride_curve) << " B\n";
-        }
-        std::cout << "\n";
+        opts.warmupMaxFootprint = 0; // all-miss regime
+        const std::uint64_t line = detectLineSize(
+            sweepStrides(cfg, fp, {8, 16, 32, 64, 128, 256}, opts));
+        std::cout << "  " << cfg.name << ": " << line << " B\n";
+        ok = ok && line == cfg.sm.lineBytes;
     }
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -3,7 +3,7 @@
  * Quickstart: write a tiny kernel in the gpulat assembler, launch
  * it on a simulated Fermi GPU and read back results + statistics.
  *
- * Build & run:  ./build/examples/quickstart
+ * Build & run:  ./build/example_quickstart
  */
 
 #include <iostream>

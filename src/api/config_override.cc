@@ -113,10 +113,6 @@ parseValue(const std::string &path, const std::string &text, T &dst)
         else if (text == "writeback") dst = WritePolicy::WriteBack;
         else fatal(path, ": '", text,
                    "' is not writethrough|writeback");
-    } else if constexpr (std::is_same_v<T, ReplPolicy>) {
-        if (text == "lru") dst = ReplPolicy::LRU;
-        else if (text == "fifo") dst = ReplPolicy::FIFO;
-        else fatal(path, ": '", text, "' is not lru|fifo");
     } else if constexpr (std::is_same_v<T, ServePolicy>) {
         if (text == "fifo") dst = ServePolicy::Fifo;
         else if (text == "rr") dst = ServePolicy::Rr;
@@ -160,8 +156,6 @@ formatValue(const T &v)
     } else if constexpr (std::is_same_v<T, WritePolicy>) {
         return v == WritePolicy::WriteThrough ? "writethrough"
                                               : "writeback";
-    } else if constexpr (std::is_same_v<T, ReplPolicy>) {
-        return v == ReplPolicy::LRU ? "lru" : "fifo";
     } else if constexpr (std::is_same_v<T, ServePolicy>) {
         switch (v) {
           case ServePolicy::Fifo: return "fifo";
@@ -273,12 +267,9 @@ buildKeys()
         GPULAT_CFG_KEY(sm.l1MshrMaxMerge, "uint"),
         GPULAT_CFG_KEY(sm.l1MissQueueSize, "uint"),
         GPULAT_CFG_KEY(sm.l1Cache.capacityBytes, "bytes"),
-        GPULAT_CFG_KEY(sm.l1Cache.lineBytes, "bytes"),
         GPULAT_CFG_KEY(sm.l1Cache.ways, "uint"),
-        GPULAT_CFG_KEY(sm.l1Cache.repl, "lru|fifo"),
         GPULAT_CFG_KEY(sm.l1Cache.write, "writethrough|writeback"),
 
-        GPULAT_CFG_KEY(partition.lineBytes, "bytes"),
         GPULAT_CFG_KEY(partition.ropQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.ropLatency, "cycles"),
         GPULAT_CFG_KEY(partition.l2Enabled, "bool"),
@@ -289,9 +280,7 @@ buildKeys()
         GPULAT_CFG_KEY(partition.l2MshrEntries, "uint"),
         GPULAT_CFG_KEY(partition.l2MshrMaxMerge, "uint"),
         GPULAT_CFG_KEY(partition.l2Cache.capacityBytes, "bytes"),
-        GPULAT_CFG_KEY(partition.l2Cache.lineBytes, "bytes"),
         GPULAT_CFG_KEY(partition.l2Cache.ways, "uint"),
-        GPULAT_CFG_KEY(partition.l2Cache.repl, "lru|fifo"),
         GPULAT_CFG_KEY(partition.l2Cache.write,
                        "writethrough|writeback"),
         GPULAT_CFG_KEY(partition.dramQueueSize, "uint"),

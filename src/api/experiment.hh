@@ -1,9 +1,9 @@
 /**
  * @file
- * The experiment runner behind the `gpulat` CLI, the Table I bench
- * and perfbench: a declarative ExperimentSpec (preset + overrides +
- * workload + params) is resolved through the config-override layer
- * and the WorkloadRegistry, simulated, and collapsed into one
+ * The experiment runner behind the `gpulat` CLI and perfbench: a
+ * declarative ExperimentSpec (preset + overrides + workload +
+ * params) is resolved through the config-override layer and the
+ * WorkloadRegistry, simulated, and collapsed into one
  * schema-stable ExperimentRecord. Sweeps are specs whose values
  * carry comma-separated lists; expandSweep() takes the cartesian
  * product.

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "api/parallel_runner.hh"
 #include "common/log.hh"
 #include "common/table.hh"
 
@@ -239,32 +238,6 @@ MultiSink::finish()
 {
     for (auto &sink : sinks_)
         sink->finish();
-}
-
-void
-addOutputSinks(MultiSink &sinks, int argc,
-               const char *const *argv, std::size_t *jobs)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--jobs" && jobs) {
-            if (i + 1 >= argc)
-                fatal("'--jobs' needs a value");
-            *jobs = parseJobs(argv[++i]);
-            continue;
-        }
-        if (arg != "--json" && arg != "--csv")
-            fatal("unknown bench argument '", arg,
-                  "' (benches take --json FILE / --csv FILE",
-                  jobs ? " / --jobs N)" : ")");
-        if (i + 1 >= argc)
-            fatal("'", arg, "' needs a file path");
-        const std::string path = argv[++i];
-        if (arg == "--json")
-            sinks.add(std::make_unique<JsonSink>(path));
-        else
-            sinks.add(std::make_unique<CsvSink>(path));
-    }
 }
 
 } // namespace gpulat

@@ -3,8 +3,8 @@
  * Machine-readable experiment output. Every run produces one
  * ExperimentRecord with a schema-stable set of fields; StatSink
  * backends render a stream of records as an aligned text table,
- * JSON (`gpulat.run.v1`) or CSV. Benches and the `gpulat` CLI feed
- * the same records to any combination of sinks, so a sweep is
+ * JSON (`gpulat.run.v1`) or CSV. The `gpulat` CLI feeds the same
+ * records to any combination of sinks, so a sweep is
  * plottable without scraping its human-readable table.
  */
 
@@ -159,16 +159,6 @@ class MultiSink : public StatSink
   private:
     std::vector<std::unique_ptr<StatSink>> sinks_;
 };
-
-/**
- * Bench-main helper: consume `--json FILE` / `--csv FILE` pairs
- * from a bench's argv and add the matching sinks. When @p jobs is
- * non-null, `--jobs N` is also accepted (parseJobs semantics,
- * 0 = hardware concurrency). fatal() on other arguments.
- */
-void addOutputSinks(MultiSink &sinks, int argc,
-                    const char *const *argv,
-                    std::size_t *jobs = nullptr);
 
 /** Escape and quote a string as a JSON literal. */
 std::string jsonQuote(const std::string &s);

@@ -1,7 +1,7 @@
 /**
  * @file
  * String-named workload factories with typed parameter maps: the
- * front door every experiment driver (the `gpulat` CLI, benches,
+ * front door every experiment driver (the `gpulat` CLI, perfbench,
  * sweeps) uses to construct workloads. A workload is addressed as
  * `name` + `key=value` parameters ("bfs", nodes=4096) instead of a
  * per-class Options struct, so new experiment matrix cells are data,

@@ -74,8 +74,7 @@ Cache::access(Addr line_addr, bool is_write, Cycle now)
     Line *line = findLine(line_addr);
     if (line) {
         hits_->inc();
-        if (params_.repl == ReplPolicy::LRU)
-            line->lastUse = now;
+        line->lastUse = now;
         if (is_write) {
             if (params_.write == WritePolicy::WriteBack)
                 line->dirty = true;
@@ -96,9 +95,8 @@ Cache::access(Addr line_addr, bool is_write, Cycle now)
 }
 
 Cache::Line &
-Cache::victimIn(std::size_t set, Cycle now)
+Cache::victimIn(std::size_t set)
 {
-    (void)now;
     Line *base = &lines_[set * params_.ways];
     Line *victim = base;
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
@@ -118,7 +116,7 @@ Cache::fill(Addr line_addr, Cycle now)
     if (findLine(line_addr))
         return std::nullopt; // already present (merged fill)
 
-    Line &victim = victimIn(setIndex(line_addr), now);
+    Line &victim = victimIn(setIndex(line_addr));
     std::optional<Addr> writeback;
     if (victim.valid) {
         evictions_->inc();
@@ -130,7 +128,7 @@ Cache::fill(Addr line_addr, Cycle now)
     victim.valid = true;
     victim.dirty = false;
     victim.tag = line_addr;
-    victim.lastUse = now; // fill time doubles as FIFO order
+    victim.lastUse = now;
     return writeback;
 }
 

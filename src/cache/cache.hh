@@ -21,9 +21,6 @@
 
 namespace gpulat {
 
-/** Replacement policies. */
-enum class ReplPolicy : std::uint8_t { LRU, FIFO };
-
 /** Write policies. */
 enum class WritePolicy : std::uint8_t {
     /** Write-through, no write-allocate (GPU L1 style): writes
@@ -33,13 +30,12 @@ enum class WritePolicy : std::uint8_t {
     WriteBack,
 };
 
-/** Geometry + policies of one cache. */
+/** Geometry + write policy of one cache (replacement is LRU). */
 struct CacheParams
 {
     std::uint64_t capacityBytes = 16 * 1024;
     std::uint32_t lineBytes = 128;
     std::uint32_t ways = 4;
-    ReplPolicy repl = ReplPolicy::LRU;
     WritePolicy write = WritePolicy::WriteThrough;
 
     std::uint64_t sets() const
@@ -105,13 +101,13 @@ class Cache
         Addr tag = kNoAddr; ///< full line address (simple, unique)
         bool valid = false;
         bool dirty = false;
-        Cycle lastUse = 0;  ///< LRU: touch time; FIFO: fill time
+        Cycle lastUse = 0;  ///< last hit or fill (LRU order)
     };
 
     Line *findLine(Addr line_addr);
     const Line *findLine(Addr line_addr) const;
     std::size_t setIndex(Addr line_addr) const;
-    Line &victimIn(std::size_t set, Cycle now);
+    Line &victimIn(std::size_t set);
 
     std::string name_;
     CacheParams params_;

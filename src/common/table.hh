@@ -1,6 +1,6 @@
 /**
  * @file
- * Text rendering helpers for benches and examples: aligned tables
+ * Text rendering helpers for reports and examples: aligned tables
  * (Table I style) and horizontal stacked-bar charts (Figure 1/2
  * style), plus RFC-4180 field quoting for the CSV record sink.
  */

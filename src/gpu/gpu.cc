@@ -104,7 +104,12 @@ Gpu::Gpu(GpuConfig config)
       dispatcher_(sms_, active_),
       rng_(config_.seed)
 {
+    // One line size for the whole hierarchy: the SM's coalescing
+    // granule is also the L1, L2 and partition-slicing line.
+    const std::uint32_t line_bytes = config_.sm.lineBytes;
     PartitionParams part_params = config_.partition;
+    part_params.lineBytes = line_bytes;
+    part_params.l2Cache.lineBytes = line_bytes;
     part_params.interleaveDivisor = config_.numPartitions;
     part_params.dramClock = config_.dramClock;
     scalePartitionLatencies(part_params, config_.l2Clock,
@@ -125,6 +130,7 @@ Gpu::Gpu(GpuConfig config)
     for (unsigned s = 0; s < config_.numSms; ++s) {
         SmParams sm = config_.sm;
         sm.smId = s;
+        sm.l1Cache.lineBytes = line_bytes;
         sms_.push_back(std::make_unique<SmCore>(
             sm, &dmem_, &stats_, &latCollector_, &expCollector_,
             &reqNet_, partition_of));

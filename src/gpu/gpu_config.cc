@@ -14,9 +14,6 @@ baseConfig()
 {
     GpuConfig cfg;
     cfg.sm.lineBytes = 128;
-    cfg.sm.l1Cache.lineBytes = 128;
-    cfg.partition.lineBytes = 128;
-    cfg.partition.l2Cache.lineBytes = 128;
     cfg.partition.l2Cache.write = WritePolicy::WriteBack;
     cfg.sm.l1Cache.write = WritePolicy::WriteThrough;
     return cfg;

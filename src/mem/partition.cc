@@ -342,13 +342,6 @@ MemPartition::tickL2Side(Cycle now)
     tickRopQueue(now);
 }
 
-void
-MemPartition::tick(Cycle now)
-{
-    tickMemSide(now);
-    tickL2Side(now);
-}
-
 Cycle
 MemPartition::nextMemEventAt(Cycle now) const
 {

@@ -38,6 +38,8 @@ namespace gpulat {
 /** Everything a partition needs to know about itself. */
 struct PartitionParams
 {
+    /** Line size (set by the owning Gpu from SmParams::lineBytes,
+     *  as is l2Cache.lineBytes). */
     std::uint32_t lineBytes = 128;
 
     /** Number of partitions interleaving the address space (used to
@@ -98,12 +100,6 @@ class MemPartition
 
     /** Hand over a request ejected from the request network. */
     void accept(Cycle now, MemRequest req);
-
-    /**
-     * Advance all internal pipelines by one cycle (both clock
-     * sides; kept for single-domain callers such as unit tests).
-     */
-    void tick(Cycle now);
 
     /** @name Clock-domain views (engine-driven ticking) @{ */
 

@@ -4,20 +4,6 @@
 
 namespace gpulat {
 
-std::vector<std::uint64_t>
-footprintLadder(std::uint64_t lo, std::uint64_t hi)
-{
-    GPULAT_ASSERT(lo > 0 && lo <= hi, "bad ladder bounds");
-    std::vector<std::uint64_t> ladder;
-    for (std::uint64_t fp = lo; fp <= hi; fp *= 2) {
-        ladder.push_back(fp);
-        const std::uint64_t mid = fp + fp / 2;
-        if (mid <= hi)
-            ladder.push_back(mid);
-    }
-    return ladder;
-}
-
 std::vector<LatencyCurvePoint>
 sweepFootprints(const GpuConfig &cfg,
                 const std::vector<std::uint64_t> &footprints,

@@ -30,13 +30,6 @@ struct SweepOptions
 };
 
 /**
- * Footprint ladder: powers of two from @p lo to @p hi with 1.5x
- * midpoints, so every plateau gets at least two samples.
- */
-std::vector<std::uint64_t> footprintLadder(std::uint64_t lo,
-                                           std::uint64_t hi);
-
-/**
  * Measure one latency-vs-footprint curve on configuration @p cfg.
  * A fresh Gpu is constructed per point; fatal() if a point's chase
  * did not follow its chain (PChaseResult::chainOk).

@@ -10,9 +10,12 @@ namespace gpulat {
 
 namespace {
 
+/** Dependent loads timed per footprint point. */
+constexpr std::uint64_t kTimedAccesses = 512;
+
 /** Footprints spanning [first plateau .. beyond the last cache]. */
 std::vector<std::uint64_t>
-globalFootprints(const GpuConfig &cfg, bool full_ladder)
+globalFootprints(const GpuConfig &cfg)
 {
     const bool l1_global = cfg.sm.l1Enabled && cfg.sm.l1CachesGlobal;
     const std::uint64_t l1 = cfg.sm.l1Cache.capacityBytes;
@@ -25,15 +28,9 @@ globalFootprints(const GpuConfig &cfg, bool full_ladder)
         fps.push_back(l1);
     }
     if (l2 > 0) {
-        const std::uint64_t lo = l1_global ? l1 * 2 : l2 / 8;
-        if (full_ladder) {
-            for (std::uint64_t fp : footprintLadder(lo, l2))
-                fps.push_back(fp);
-        } else {
-            fps.push_back(lo);
-            fps.push_back(l2 / 2);
-            fps.push_back(l2);
-        }
+        fps.push_back(l1_global ? l1 * 2 : l2 / 8);
+        fps.push_back(l2 / 2);
+        fps.push_back(l2);
         fps.push_back(l2 * 2);
         fps.push_back(l2 * 3);
     } else {
@@ -59,7 +56,7 @@ round1(double v)
 } // namespace
 
 Table1Column
-measureGeneration(const GpuConfig &cfg, const Table1Options &opts)
+measureGeneration(const GpuConfig &cfg)
 {
     Table1Column col;
     col.gpu = cfg.name;
@@ -71,7 +68,7 @@ measureGeneration(const GpuConfig &cfg, const Table1Options &opts)
     SweepOptions sweep;
     sweep.space = MemSpace::Global;
     sweep.strideBytes = cfg.sm.lineBytes;
-    sweep.timedAccesses = opts.timedAccesses;
+    sweep.timedAccesses = kTimedAccesses;
     // Beyond the last cache level a cold chase misses everywhere;
     // skipping the (large) warm-up there keeps sweeps fast.
     sweep.warmupMaxFootprint = std::max(
@@ -80,7 +77,7 @@ measureGeneration(const GpuConfig &cfg, const Table1Options &opts)
                          : std::uint64_t{0});
 
     const auto curve = sweepFootprints(
-        cfg, globalFootprints(cfg, opts.fullLadder), sweep);
+        cfg, globalFootprints(cfg), sweep);
     const auto levels = detectPlateaus(curve);
 
     // Expected plateau count from the probe plan.
@@ -112,13 +109,13 @@ measureGeneration(const GpuConfig &cfg, const Table1Options &opts)
 }
 
 std::vector<Table1Column>
-measureTable1(const Table1Options &opts)
+measureTable1()
 {
     return {
-        measureGeneration(makeGT200(), opts),
-        measureGeneration(makeGF106(), opts),
-        measureGeneration(makeGK104(), opts),
-        measureGeneration(makeGM107(), opts),
+        measureGeneration(makeGT200()),
+        measureGeneration(makeGF106()),
+        measureGeneration(makeGK104()),
+        measureGeneration(makeGM107()),
     };
 }
 

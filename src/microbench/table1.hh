@@ -27,14 +27,6 @@ struct Table1Column
     std::optional<double> dram;
 };
 
-/** Sweep effort knob: quick (tests) vs full (bench). */
-struct Table1Options
-{
-    std::uint64_t timedAccesses = 512;
-    /** Extra footprint points per plateau (>=1). */
-    bool fullLadder = false;
-};
-
 /**
  * Measure one generation. The probe plan is derived from the
  * config: if the L1 caches global accesses, a global sweep exposes
@@ -42,11 +34,10 @@ struct Table1Options
  * comes from a local-space sweep; with no L1 (Tesla/Maxwell) the L1
  * row is absent; with no L2 (Tesla) only DRAM remains.
  */
-Table1Column measureGeneration(const GpuConfig &cfg,
-                               const Table1Options &opts = {});
+Table1Column measureGeneration(const GpuConfig &cfg);
 
 /** Measure all four generations of the paper. */
-std::vector<Table1Column> measureTable1(const Table1Options &opts = {});
+std::vector<Table1Column> measureTable1();
 
 /** Render the table exactly like the paper (rows L1/L2/DRAM). */
 void printTable1(std::ostream &os,

@@ -57,6 +57,9 @@ struct SmParams
     std::size_t lsuQueueSize = 8;
     /** Issue -> L1 access minimum (address gen / LSU pipe). */
     Cycle smBaseLatency = 10;
+    /** Line size of the whole hierarchy: the coalescing granule,
+     *  and (derived by the owning Gpu) the L1, L2 and partition
+     *  line. */
     std::uint32_t lineBytes = 128;
 
     bool l1Enabled = true;

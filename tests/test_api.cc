@@ -261,6 +261,22 @@ TEST(ConfigOverride, RejectsBadInput)
                  FatalError);
     EXPECT_THROW((void)readOverride(cfg, "sm.noSuchKnob"),
                  FatalError);
+    // Every line size derives from sm.lineBytes, and replacement
+    // is always LRU.
+    for (const char *removed :
+         {"sm.l1Cache.lineBytes=64", "partition.lineBytes=64",
+          "partition.l2Cache.lineBytes=64", "sm.l1Cache.repl=lru",
+          "partition.l2Cache.repl=lru"}) {
+        try {
+            applyOverride(cfg, removed);
+            ADD_FAILURE() << removed << " accepted";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("unknown config key"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 // ----------------------------------------------------------- registry
@@ -695,8 +711,10 @@ TEST(Golden, OverridesChangeTheMachine)
  * the scheduler, DRAM-model, clock-grid and crossbar paths those
  * goldens never reach. Values captured with `gpulat run --json` at
  * commit d24e189, before the crossbar, DRAM-queue and clock-grid
- * loops were rewritten. stage_pct.*, engine.group.* and analysis*
- * are left out on purpose.
+ * loops were rewritten. The line-size cell was captured at commit
+ * ee399ae, where the L1, L2 and partition line sizes were keys of
+ * their own, with all four set to 64. stage_pct.*, engine.group.*
+ * and analysis* are left out on purpose.
  */
 struct PinnedCell
 {
@@ -879,6 +897,55 @@ TEST(RecordPins, NonDefaultPathsMatchCapture)
              {"engine.l2.ticks_skipped", 8807},
              {"engine.dram.ticks_run", 154927},
              {"engine.dram.ticks_skipped", 133517},
+         }},
+        {"one line size, from sm.lineBytes alone",
+         {"gf106", "vecadd", {"n=4096"}, {"sm.lineBytes=64"}},
+         23758,
+         2432,
+         {
+             {"active_cycles", 86716},
+             {"dram.rd_row_closed", 16},
+             {"dram.rd_row_hits", 770},
+             {"dram.rd_row_misses", 238},
+             {"dram.row_closed", 16},
+             {"dram.row_hits", 1204},
+             {"dram.row_misses", 316},
+             {"dram.wr_row_closed", 0},
+             {"dram.wr_row_hits", 434},
+             {"dram.wr_row_misses", 78},
+             {"dram_reads", 1024},
+             {"dram_writes", 512},
+             {"engine.core.ticks_run", 91729},
+             {"engine.core.ticks_skipped", 50819},
+             {"engine.dram.ticks_run", 24545},
+             {"engine.dram.ticks_skipped", 22971},
+             {"engine.icnt.ticks_run", 24616},
+             {"engine.icnt.ticks_skipped", 46658},
+             {"engine.l2.ticks_run", 43682},
+             {"engine.l2.ticks_skipped", 27592},
+             {"icnt.req.arb_stalls", 51},
+             {"icnt.req.transferred", 1536},
+             {"icnt.resp.arb_stalls", 512},
+             {"icnt.resp.transferred", 1024},
+             {"idle_cycles", 85045},
+             {"idle_on_alu", 72},
+             {"idle_on_barrier", 0},
+             {"idle_on_lsu", 0},
+             {"idle_on_memory", 84973},
+             {"issued", 2432},
+             {"l1.dirty_evictions", 0},
+             {"l1.evictions", 0},
+             {"l1.hits", 0},
+             {"l1.misses", 69728},
+             {"l2.dirty_evictions", 0},
+             {"l2.evictions", 0},
+             {"l2.hits", 0},
+             {"l2.misses", 15459},
+             {"l2_accesses", 15459},
+             {"l2_mshr_bank_conflicts", 0},
+             {"l2_writebacks", 0},
+             {"loads_completed", 256},
+             {"mem_instrs", 384},
          }},
     };
     for (const PinnedCell &cell : cells) {

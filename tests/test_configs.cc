@@ -34,18 +34,6 @@ TEST(Config, TotalL2AggregatesSlices)
     EXPECT_EQ(makeGT200().totalL2Bytes(), 0u);
 }
 
-TEST(Config, PresetsHaveConsistentLineSizes)
-{
-    for (const char *name :
-         {"gt200", "gf106", "gk104", "gm107", "gf100-sim"}) {
-        const GpuConfig cfg = makeConfig(name);
-        EXPECT_EQ(cfg.sm.lineBytes, cfg.partition.lineBytes) << name;
-        EXPECT_EQ(cfg.sm.l1Cache.lineBytes, cfg.sm.lineBytes) << name;
-        EXPECT_EQ(cfg.partition.l2Cache.lineBytes, cfg.sm.lineBytes)
-            << name;
-    }
-}
-
 TEST(Config, Gf100MatchesThePapersMachine)
 {
     const GpuConfig cfg = makeGF100Sim();

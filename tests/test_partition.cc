@@ -52,12 +52,20 @@ readReq(Addr line, std::uint64_t id = 1)
     return r;
 }
 
+/** One cycle of both clock sides, in the Gpu's registration order. */
+void
+tick(MemPartition &part, Cycle now)
+{
+    part.tickMemSide(now);
+    part.tickL2Side(now);
+}
+
 /** Drive the partition until a response pops (or cycles run out). */
 std::optional<MemRequest>
 runUntilResponse(MemPartition &part, Cycle &now, Cycle limit = 1000)
 {
     for (; now < limit; ++now) {
-        part.tick(now);
+        tick(part, now);
         if (part.responseReady(now))
             return part.popResponse();
     }
@@ -123,7 +131,7 @@ TEST(Partition, ConcurrentMissesToSameLineMerge)
 
     std::vector<MemRequest> responses;
     for (; now < 1000 && responses.size() < 2; ++now) {
-        part.tick(now);
+        tick(part, now);
         while (part.responseReady(now))
             responses.push_back(part.popResponse());
     }
@@ -162,7 +170,7 @@ TEST(Partition, WriteHitIsAbsorbedByL2)
     w.isWrite = true;
     part.accept(now, std::move(w));
     for (Cycle end = now + 200; now < end; ++now)
-        part.tick(now);
+        tick(part, now);
     EXPECT_TRUE(part.drained());
     // Still only the one original DRAM write... none, and 1 read.
     EXPECT_EQ(stats.counterValue("part0.dram_writes"), 0u);
@@ -184,13 +192,13 @@ TEST(Partition, DirtyEvictionGeneratesWriteback)
     w.isWrite = true;
     part.accept(now, std::move(w)); // dirties line 0
     for (Cycle end = now + 100; now < end; ++now)
-        part.tick(now);
+        tick(part, now);
 
     // Read the conflicting line (same set): evicts dirty line 0.
     part.accept(now, readReq(512, 3));
     runUntilResponse(part, now);
     for (Cycle end = now + 500; now < end; ++now)
-        part.tick(now);
+        tick(part, now);
     EXPECT_EQ(stats.counterValue("part0.l2_writebacks"), 1u);
     EXPECT_EQ(stats.counterValue("part0.dram_writes"), 1u);
 }

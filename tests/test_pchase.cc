@@ -129,15 +129,6 @@ TEST(PChase, RejectsBadStride)
     EXPECT_THROW(runPointerChase(gpu, pc), PanicError);
 }
 
-TEST(Sweep, LadderIsSortedAndCoversRange)
-{
-    const auto ladder = footprintLadder(1024, 16 * 1024);
-    EXPECT_EQ(ladder.front(), 1024u);
-    EXPECT_GE(ladder.back(), 16 * 1024u / 2);
-    for (std::size_t i = 1; i < ladder.size(); ++i)
-        EXPECT_GT(ladder[i], ladder[i - 1]);
-}
-
 TEST(Sweep, StrideSweepRecoversLineSize)
 {
     GpuConfig cfg = smallFermi();

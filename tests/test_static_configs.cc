@@ -18,12 +18,7 @@ namespace {
 const std::vector<Table1Column> &
 measured()
 {
-    static const std::vector<Table1Column> table = [] {
-        Table1Options opts;
-        opts.timedAccesses = 512;
-        opts.fullLadder = false;
-        return measureTable1(opts);
-    }();
+    static const std::vector<Table1Column> table = measureTable1();
     return table;
 }
 
