@@ -98,12 +98,6 @@ workloadVerdictTag(const std::string &name)
         ExperimentSpec spec;
         spec.workload = name;
         spec.scale = 0.05;
-        // The probe only needs the grid to exist; a small device
-        // memory keeps 15 back-to-back Gpu constructions out of
-        // the listing's critical path (buffer *addresses* shift,
-        // footprint disjointness does not).
-        spec.overrides = {"deviceMemBytes=" +
-                          std::to_string(64 * 1024 * 1024)};
         SmParallelVerdict verdict;
         runExperiment(spec,
                       [&](Gpu &gpu, const ExperimentRecord &) {

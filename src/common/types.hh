@@ -35,6 +35,16 @@ using LaneMask = std::uint32_t;
 /** Mask with all kWarpSize lanes active. */
 inline constexpr LaneMask kFullMask = 0xffffffffu;
 
+/**
+ * True when [addr, addr + bytes) does not lie inside [0, size).
+ * No term can wrap, so an address near 2^64 fails too.
+ */
+inline constexpr bool
+outOfRange(std::uint64_t addr, std::uint64_t bytes, std::uint64_t size)
+{
+    return bytes > size || addr > size - bytes;
+}
+
 /** Memory spaces visible to the ISA. */
 enum class MemSpace : std::uint8_t {
     Global, ///< device memory, possibly cached in L1/L2

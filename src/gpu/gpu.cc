@@ -1,6 +1,7 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <sstream>
 
@@ -38,9 +39,37 @@ toCoreCycles(Cycle domain_cycles, ClockRatio ratio)
 }
 
 /**
- * Validate the clock ratios before anything derives values from
- * them — runs on the config as the very first member initializer,
- * ahead of the toCoreCycles() uses in the init list.
+ * The one line size: a power of two, at least the 8-byte word every
+ * load and store moves, and small enough that every enabled cache
+ * keeps at least one set.
+ */
+void
+validateLineBytes(const GpuConfig &config)
+{
+    const std::uint32_t line = config.sm.lineBytes;
+    if (!std::has_single_bit(line))
+        fatal("sm.lineBytes must be a power of two (got ", line, ")");
+    if (line < 8)
+        fatal("sm.lineBytes must be at least 8, the word a load or "
+              "store moves (got ", line, ")");
+    auto check_sets = [line](const char *cache_key,
+                             const CacheParams &cache) {
+        if (cache.capacityBytes / line < cache.ways)
+            fatal("sm.lineBytes=", line, " leaves ", cache_key, " (",
+                  cache.capacityBytes, " bytes, ", cache.ways,
+                  " ways) without a set");
+    };
+    if (config.sm.l1Enabled)
+        check_sets("sm.l1Cache", config.sm.l1Cache);
+    if (config.partition.l2Enabled)
+        check_sets("partition.l2Cache", config.partition.l2Cache);
+}
+
+/**
+ * Validate the clock ratios and the machine's shape before anything
+ * derives values from them — runs on the config as the very first
+ * member initializer, ahead of the toCoreCycles() uses in the init
+ * list.
  */
 GpuConfig
 validatedConfig(GpuConfig config)
@@ -48,6 +77,11 @@ validatedConfig(GpuConfig config)
     validateRatio("icnt", config.icntClock);
     validateRatio("l2", config.l2Clock);
     validateRatio("dram", config.dramClock);
+    if (config.numSms == 0)
+        fatal("numSms must be > 0");
+    if (config.numPartitions == 0)
+        fatal("numPartitions must be > 0");
+    validateLineBytes(config);
     return config;
 }
 

@@ -4,6 +4,10 @@
  *
  * Timing lives entirely in the caches/interconnect/DRAM models; this
  * class is the architectural state kernels actually read and write.
+ * The store is an anonymous private mapping, so the host kernel
+ * supplies zero pages on first touch: a Gpu costs the time and
+ * resident memory of the pages its workload touches, not of
+ * deviceMemBytes.
  */
 
 #ifndef GPULAT_MEM_DEVICE_MEMORY_HH
@@ -11,7 +15,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -21,7 +24,12 @@ namespace gpulat {
 class DeviceMemory
 {
   public:
-    explicit DeviceMemory(std::uint64_t bytes) : data_(bytes, 0) {}
+    /** Map @p bytes of zeroed memory (0 maps nothing). */
+    explicit DeviceMemory(std::uint64_t bytes);
+    ~DeviceMemory();
+
+    DeviceMemory(const DeviceMemory &) = delete;
+    DeviceMemory &operator=(const DeviceMemory &) = delete;
 
     /**
      * Allocate @p bytes with @p align alignment (bump allocator;
@@ -33,9 +41,9 @@ class DeviceMemory
         GPULAT_ASSERT(align > 0 && (align & (align - 1)) == 0,
                       "alignment must be a power of two");
         Addr base = (brk_ + align - 1) & ~(align - 1);
-        if (base + bytes > data_.size())
+        if (outOfRange(base, bytes, size_))
             fatal("device memory exhausted: want ", bytes,
-                  " bytes at ", base, ", have ", data_.size());
+                  " bytes at ", base, ", have ", size_);
         brk_ = base + bytes;
         return base;
     }
@@ -45,7 +53,7 @@ class DeviceMemory
     {
         checkRange(addr, 8);
         std::uint64_t v;
-        std::memcpy(&v, &data_[addr], 8);
+        std::memcpy(&v, data_ + addr, 8);
         return v;
     }
 
@@ -53,36 +61,39 @@ class DeviceMemory
     write64(Addr addr, std::uint64_t value)
     {
         checkRange(addr, 8);
-        std::memcpy(&data_[addr], &value, 8);
+        std::memcpy(data_ + addr, &value, 8);
     }
 
     void
     copyIn(Addr addr, const void *src, std::uint64_t bytes)
     {
         checkRange(addr, bytes);
-        std::memcpy(&data_[addr], src, bytes);
+        if (bytes != 0) // data_ is null when nothing is mapped
+            std::memcpy(data_ + addr, src, bytes);
     }
 
     void
     copyOut(Addr addr, void *dst, std::uint64_t bytes) const
     {
         checkRange(addr, bytes);
-        std::memcpy(dst, &data_[addr], bytes);
+        if (bytes != 0)
+            std::memcpy(dst, data_ + addr, bytes);
     }
 
-    std::uint64_t size() const { return data_.size(); }
+    std::uint64_t size() const { return size_; }
     std::uint64_t allocated() const { return brk_; }
 
   private:
     void
     checkRange(Addr addr, std::uint64_t bytes) const
     {
-        if (addr + bytes > data_.size())
+        if (outOfRange(addr, bytes, size_))
             fatal("device memory access out of range: [", addr, ", ",
-                  addr + bytes, ") of ", data_.size());
+                  addr + bytes, ") of ", size_);
     }
 
-    std::vector<std::uint8_t> data_;
+    std::uint8_t *data_ = nullptr;
+    std::uint64_t size_;
     Addr brk_ = 0;
 };
 

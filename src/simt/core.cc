@@ -205,7 +205,7 @@ SmCore::globalThreadId(const Warp &warp, unsigned lane) const
 Addr
 SmCore::localPhys(Addr offset, std::uint64_t gtid) const
 {
-    if (offset + 8 > ctx_->localBytesPerThread)
+    if (outOfRange(offset, 8, ctx_->localBytesPerThread))
         fatal("local memory access at offset ", offset,
               " exceeds per-thread allocation of ",
               ctx_->localBytesPerThread);
@@ -537,7 +537,7 @@ SmCore::execSharedMem(Warp &warp, const Instruction &inst,
             continue;
         const Addr addr = warp.reg(lane, inst.srcA) +
                           static_cast<Addr>(inst.imm);
-        if (addr + 8 > block.sharedMem.size())
+        if (outOfRange(addr, 8, block.sharedMem.size()))
             fatal("shared memory access at ", addr, " exceeds ",
                   block.sharedMem.size(), " bytes");
         addrs[lane] = addr;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/config_override.hh"
 #include "gpu/gpu.hh"
 #include "isa/assembler.hh"
 
@@ -107,6 +108,56 @@ TEST(LaunchValidation, SharedOverflowIsFatal)
         exit
     )");
     EXPECT_THROW(gpu.launch(k, 1, 1, {}), FatalError);
+}
+
+TEST(LaunchValidation, WrappingAddressIsFatal)
+{
+    // -4 + 8 wraps to 4, so a range check written as addr + 8 > size
+    // lets these accesses through to host memory outside the buffer.
+    GpuConfig cfg = makeGF106();
+    cfg.deviceMemBytes = 1024 * 1024;
+    cfg.localBytesPerThread = 64;
+    for (const char *access :
+         {"ld.global r2, [r1]", "st.global [r1], r1",
+          "ld.shared r2, [r1]", "st.shared [r1], r1",
+          "st.local [r1], r1", "atom.add r2, [r1], r1"}) {
+        Gpu gpu(cfg);
+        const Kernel k = assemble(std::string(".shared 64\n"
+                                              "mov r1, -4\n") +
+                                  access + "\nexit\n");
+        EXPECT_THROW(gpu.launch(k, 1, 1, {}), FatalError) << access;
+    }
+}
+
+TEST(LaunchValidation, BadShapesNameTheirKey)
+{
+    for (const std::string bad :
+         {"sm.lineBytes=4", "sm.lineBytes=0", "sm.lineBytes=96",
+          "sm.lineBytes=65536", "numSms=0", "numPartitions=0"}) {
+        GpuConfig cfg = makeGF106();
+        applyOverride(cfg, bad);
+        const std::string key = bad.substr(0, bad.find('='));
+        try {
+            Gpu gpu(cfg);
+            ADD_FAILURE() << bad << " accepted";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(key), std::string::npos) << what;
+        }
+    }
+    // With the L1 off, the L2 is the cache a huge line leaves
+    // without a set.
+    GpuConfig cfg = makeGF106();
+    cfg.sm.l1Enabled = false;
+    cfg.sm.lineBytes = 65536;
+    try {
+        Gpu gpu(cfg);
+        ADD_FAILURE() << "a 64 KiB line accepted";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("partition.l2Cache"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(LaunchValidation, AllPresetsRunAKernel)
