@@ -40,8 +40,8 @@ main()
 
     // Records carry schema-stable metrics...
     std::cout << "cycles: " << rec.cycles
-              << ", IPC: " << rec.metric("ipc")
-              << ", exposed: " << rec.metric("exposed_pct")
+              << ", IPC: " << rec.metrics.at("ipc")
+              << ", exposed: " << rec.metrics.at("exposed_pct")
               << "%\n\n";
 
     // ...and render through any sink (JSON here; TextTableSink and

@@ -1,9 +1,9 @@
 #include "api/cli.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -12,6 +12,7 @@
 #include "api/config_override.hh"
 #include "api/experiment.hh"
 #include "api/parallel_runner.hh"
+#include "api/param_map.hh"
 #include "api/workload_registry.hh"
 #include "common/log.hh"
 #include "common/table.hh"
@@ -151,24 +152,21 @@ listKeys(std::ostream &out)
 double
 parseDouble(const std::string &flag, const std::string &text)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        fatal("'", flag, "' needs a number, got '", text, "'");
-    return v;
+    const auto v = parseFinite(text);
+    if (!v)
+        fatal("'", flag, "' needs a finite number, got '", text, "'");
+    return *v;
 }
 
 std::size_t
 parseSize(const std::string &flag, const std::string &text)
 {
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || text[0] == '-' || end == text.c_str() ||
-        *end != '\0')
+    const auto v =
+        parseDecimal(text, std::numeric_limits<std::size_t>::max());
+    if (!v)
         fatal("'", flag, "' needs a non-negative integer, got '",
               text, "'");
-    return static_cast<std::size_t>(v);
+    return *v;
 }
 
 struct CliOptions

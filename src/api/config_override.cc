@@ -1,7 +1,6 @@
 #include "api/config_override.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <type_traits>
@@ -11,8 +10,10 @@
 
 namespace gpulat {
 
+namespace {
+
 ClockRatio
-parseClockRatio(const std::string &text)
+parseClockRatio(const std::string &path, const std::string &text)
 {
     // Accept "M/D", "M:D" or a bare "M" (meaning M/1).
     auto sep = text.find('/');
@@ -22,44 +23,25 @@ parseClockRatio(const std::string &text)
         sep == std::string::npos ? text : text.substr(0, sep);
     const std::string div_s =
         sep == std::string::npos ? "1" : text.substr(sep + 1);
-    // strtoul wraps a leading '-' instead of failing.
-    char *end = nullptr;
-    const unsigned long mul = std::strtoul(mul_s.c_str(), &end, 10);
-    const bool mul_ok = !mul_s.empty() && mul_s[0] != '-' &&
-        end != mul_s.c_str() && *end == '\0';
-    const unsigned long div = std::strtoul(div_s.c_str(), &end, 10);
-    const bool div_ok = !div_s.empty() && div_s[0] != '-' &&
-        end != div_s.c_str() && *end == '\0';
-    if (!mul_ok || !div_ok || mul == 0 || div == 0) {
-        fatal("'", text, "' is not a clock ratio (expected M/D, ",
-              "M:D or M with M,D > 0)");
+    constexpr std::uint64_t max = std::numeric_limits<unsigned>::max();
+    const auto mul = parseDecimal(mul_s, max);
+    const auto div = parseDecimal(div_s, max);
+    if (!mul || !div || *mul == 0 || *div == 0) {
+        fatal(path, ": '", text, "' is not a clock ratio (expected ",
+              "M/D, M:D or M with M,D > 0)");
     }
     // gcd-normalize: "2/4" means the same frequency as "1/2", so it
     // must format and round-trip identically (and pass the same
     // range validation) — the parsed ratio is canonical.
-    const unsigned long g = std::gcd(mul, div);
-    return ClockRatio{static_cast<unsigned>(mul / g),
-                      static_cast<unsigned>(div / g)};
+    const std::uint64_t g = std::gcd(*mul, *div);
+    return ClockRatio{static_cast<unsigned>(*mul / g),
+                      static_cast<unsigned>(*div / g)};
 }
 
 std::string
 formatClockRatio(ClockRatio ratio)
 {
     return std::to_string(ratio.mul) + "/" + std::to_string(ratio.div);
-}
-
-namespace {
-
-std::uint64_t
-parseU64(const std::string &path, const std::string &text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    // strtoull wraps a leading '-' instead of failing.
-    if (text.empty() || text[0] == '-' || end == text.c_str() ||
-        *end != '\0')
-        fatal(path, ": '", text, "' is not a non-negative integer");
-    return v;
 }
 
 template <typename T>
@@ -77,7 +59,7 @@ parseValue(const std::string &path, const std::string &text, T &dst)
     } else if constexpr (std::is_same_v<T, std::string>) {
         dst = text;
     } else if constexpr (std::is_same_v<T, ClockRatio>) {
-        dst = parseClockRatio(text);
+        dst = parseClockRatio(path, text);
     } else if constexpr (std::is_same_v<T, IdleFastForward>) {
         // Legacy spellings keep old sweeps working: booleans predate
         // the enum, and `full` (an all-idle-only skip) gave the same
@@ -127,10 +109,13 @@ parseValue(const std::string &path, const std::string &text, T &dst)
     } else {
         static_assert(std::is_unsigned_v<T>,
                       "unsupported override type");
-        const std::uint64_t v = parseU64(path, text);
-        if (v > std::numeric_limits<T>::max())
-            fatal(path, ": ", v, " out of range");
-        dst = static_cast<T>(v);
+        constexpr std::uint64_t max = std::numeric_limits<T>::max();
+        const auto v = parseDecimal(text, max);
+        if (!v) {
+            fatal(path, ": '", text,
+                  "' is not a decimal integer in [0, ", max, "]");
+        }
+        dst = static_cast<T>(*v);
     }
 }
 

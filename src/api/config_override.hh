@@ -44,11 +44,6 @@ void applyOverrides(GpuConfig &cfg,
 std::string readOverride(const GpuConfig &cfg,
                          const std::string &path);
 
-/** @name Value codecs (exposed for tests) @{ */
-ClockRatio parseClockRatio(const std::string &text);
-std::string formatClockRatio(ClockRatio ratio);
-/** @} */
-
 } // namespace gpulat
 
 #endif // GPULAT_API_CONFIG_OVERRIDE_HH

@@ -2,10 +2,11 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <thread>
 
+#include "api/param_map.hh"
 #include "common/log.hh"
 
 namespace gpulat {
@@ -13,15 +14,12 @@ namespace gpulat {
 std::size_t
 parseJobs(const std::string &text, const char *flag)
 {
-    if (text.empty() || text[0] == '-' || text[0] == '+')
+    const auto jobs =
+        parseDecimal(text, std::numeric_limits<std::size_t>::max());
+    if (!jobs)
         fatal("'", flag, "' needs a non-negative integer, got '",
               text, "'");
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        fatal("'", flag, "' needs a non-negative integer, got '",
-              text, "'");
-    return static_cast<std::size_t>(v);
+    return *jobs;
 }
 
 std::size_t

@@ -1,10 +1,34 @@
 #include "api/param_map.hh"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <limits>
 
 #include "common/log.hh"
 
 namespace gpulat {
+
+std::optional<std::uint64_t>
+parseDecimal(const std::string &text, std::uint64_t max)
+{
+    std::uint64_t value = 0;
+    const char *const end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end || value > max)
+        return std::nullopt;
+    return value;
+}
+
+std::optional<double>
+parseFinite(const std::string &text)
+{
+    double value = 0.0;
+    const char *const end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || stop != end || !std::isfinite(value))
+        return std::nullopt;
+    return value;
+}
 
 std::pair<std::string, std::string>
 ParamMap::splitAssignment(const std::string &assignment)
@@ -51,28 +75,33 @@ ParamMap::getString(const std::string &key,
 }
 
 std::uint64_t
-ParamMap::getU64(const std::string &key, std::uint64_t def) const
+ParamMap::getInteger(const std::string &key, std::uint64_t def,
+                     std::uint64_t max) const
 {
     auto it = entries_.find(key);
     if (it == entries_.end())
         return def;
     consumed_.insert(key);
-    const std::string &s = it->second;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-    // strtoull wraps a leading '-' instead of failing.
-    if (s.empty() || s[0] == '-' || end == s.c_str() ||
-        *end != '\0') {
-        fatal("parameter '", key, "': '", s,
-              "' is not a non-negative integer");
+    const auto value = parseDecimal(it->second, max);
+    if (!value) {
+        fatal("parameter '", key, "': '", it->second,
+              "' is not a decimal integer in [0, ", max, "]");
     }
-    return v;
+    return *value;
+}
+
+std::uint64_t
+ParamMap::getU64(const std::string &key, std::uint64_t def) const
+{
+    return getInteger(key, def,
+                      std::numeric_limits<std::uint64_t>::max());
 }
 
 unsigned
 ParamMap::getUnsigned(const std::string &key, unsigned def) const
 {
-    return static_cast<unsigned>(getU64(key, def));
+    return static_cast<unsigned>(
+        getInteger(key, def, std::numeric_limits<unsigned>::max()));
 }
 
 double
@@ -82,13 +111,12 @@ ParamMap::getDouble(const std::string &key, double def) const
     if (it == entries_.end())
         return def;
     consumed_.insert(key);
-    const std::string &s = it->second;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0') {
-        fatal("parameter '", key, "': '", s, "' is not a number");
+    const auto value = parseFinite(it->second);
+    if (!value) {
+        fatal("parameter '", key, "': '", it->second,
+              "' is not a finite number");
     }
-    return v;
+    return *value;
 }
 
 bool
@@ -115,18 +143,6 @@ ParamMap::unconsumedKeys() const
             keys.push_back(key);
     }
     return keys;
-}
-
-std::string
-ParamMap::toString() const
-{
-    std::string out;
-    for (const auto &[key, value] : entries_) {
-        if (!out.empty())
-            out += ' ';
-        out += key + '=' + value;
-    }
-    return out;
 }
 
 } // namespace gpulat

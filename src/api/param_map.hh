@@ -12,11 +12,30 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 namespace gpulat {
+
+/**
+ * @name The number parsers of user text
+ * Every integer or real a user types (override values, workload
+ * parameters, CLI flags) goes through one of these two.
+ * @{
+ */
+
+/** Decimal digits only, at most @p max: no sign, no base prefix,
+ *  no spaces. nullopt on anything else. */
+std::optional<std::uint64_t> parseDecimal(const std::string &text,
+                                          std::uint64_t max);
+
+/** A finite real ("0.5", "2e3", "-1"); nullopt on anything else,
+ *  nan and inf included. */
+std::optional<double> parseFinite(const std::string &text);
+
+/** @} */
 
 class ParamMap
 {
@@ -55,10 +74,10 @@ class ParamMap
     /** Keys never read through a getter (likely typos). */
     std::vector<std::string> unconsumedKeys() const;
 
-    /** Render as "k=v k=v" (sorted), for labels and sinks. */
-    std::string toString() const;
-
   private:
+    std::uint64_t getInteger(const std::string &key, std::uint64_t def,
+                             std::uint64_t max) const;
+
     std::map<std::string, std::string> entries_;
     /** Consumption is bookkeeping, not logical state. */
     mutable std::set<std::string> consumed_;

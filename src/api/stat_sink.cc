@@ -10,13 +10,6 @@
 
 namespace gpulat {
 
-double
-ExperimentRecord::metric(const std::string &name) const
-{
-    auto it = metrics.find(name);
-    return it == metrics.end() ? 0.0 : it->second;
-}
-
 namespace {
 
 std::string

@@ -73,8 +73,6 @@ struct ExperimentRecord
      * `counters` are deterministic and do ride along).
      */
     std::size_t tickJobs = 1;
-
-    double metric(const std::string &name) const;
 };
 
 /** Consumes a stream of records; flushes on finish(). */

@@ -53,13 +53,16 @@ class MshrTable
               std::uint32_t line_bytes = 1)
         : entries_(entries),
           maxMerge_(max_merge),
-          banks_(banks ? banks : 1),
-          bankEntries_(bank_entries ? bank_entries
-                                    : entries / (banks ? banks : 1)),
-          lineBytes_(line_bytes ? line_bytes : 1),
-          bankInFlight_(banks_, 0)
+          banks_(banks),
+          bankEntries_(bank_entries),
+          lineBytes_(line_bytes),
+          bankInFlight_(banks, 0)
     {
-        GPULAT_ASSERT(entries > 0 && max_merge > 0, "bad MSHR shape");
+        GPULAT_ASSERT(entries > 0 && max_merge > 0 && banks > 0 &&
+                          line_bytes > 0,
+                      "bad MSHR shape");
+        if (bankEntries_ == 0)
+            bankEntries_ = entries / banks;
         GPULAT_ASSERT(bankEntries_ > 0, "MSHR banks (", banks_,
                       ") leave no entries per bank");
     }

@@ -1,16 +1,8 @@
 #include "common/log.hh"
 
-#include <cstdio>
-
 #include "common/types.hh"
 
 namespace gpulat {
-
-void
-warn(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
 
 const char *
 toString(MemSpace space)

@@ -4,7 +4,6 @@
  *
  * panic()  — simulator bug, should never happen regardless of input.
  * fatal()  — unrecoverable user error (bad config, bad kernel, ...).
- * warn()   — something suspicious but survivable.
  */
 
 #ifndef GPULAT_COMMON_LOG_HH
@@ -63,9 +62,6 @@ fatal(Args &&...args)
     throw FatalError(
         detail::concat("fatal: ", std::forward<Args>(args)...));
 }
-
-/** Print a non-fatal warning to stderr. */
-void warn(const std::string &msg);
 
 /** panic() unless cond holds. */
 #define GPULAT_ASSERT(cond, ...)                                          \

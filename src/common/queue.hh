@@ -6,9 +6,7 @@
  * A TimedQueue models a hardware queue/latch pipe: an entry pushed at
  * cycle t with latency L becomes visible at the head no earlier than
  * t + L. Capacity is finite; a full queue exerts backpressure (the
- * producer must retry). Occupancy statistics are tracked so loaded
- * behaviour (the paper's "queueing" latency component) can be
- * reported.
+ * producer must retry).
  */
 
 #ifndef GPULAT_COMMON_QUEUE_HH
@@ -67,9 +65,6 @@ class TimedQueue
         if (full())
             return false;
         entries_.push_back(Entry{now + minLatency_, std::move(value)});
-        sumOccupancy_ += entries_.size();
-        ++pushes_;
-        maxOccupancy_ = std::max(maxOccupancy_, entries_.size());
         return true;
     }
 
@@ -101,21 +96,6 @@ class TimedQueue
         return v;
     }
 
-    /** Total pushes observed (for average-occupancy statistics). */
-    std::uint64_t pushes() const { return pushes_; }
-
-    /** Mean occupancy observed immediately after each push. */
-    double
-    meanOccupancy() const
-    {
-        return pushes_ == 0
-            ? 0.0
-            : static_cast<double>(sumOccupancy_) / pushes_;
-    }
-
-    /** High-water mark of the occupancy. */
-    std::size_t maxOccupancy() const { return maxOccupancy_; }
-
   private:
     struct Entry
     {
@@ -126,10 +106,6 @@ class TimedQueue
     std::size_t capacity_;
     Cycle minLatency_;
     std::deque<Entry> entries_;
-
-    std::uint64_t pushes_ = 0;
-    std::uint64_t sumOccupancy_ = 0;
-    std::size_t maxOccupancy_ = 0;
 };
 
 } // namespace gpulat

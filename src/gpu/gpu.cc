@@ -1,7 +1,6 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <sstream>
 
@@ -11,17 +10,6 @@
 namespace gpulat {
 
 namespace {
-
-void
-validateRatio(const char *what, ClockRatio ratio)
-{
-    if (ratio.mul == 0 || ratio.div == 0)
-        fatal(what, " clock ratio must be positive (got ", ratio.mul,
-              ":", ratio.div, ")");
-    if (ratio.mul > 64 || ratio.div > 64)
-        fatal(what, " clock ratio ", ratio.mul, ":", ratio.div,
-              " out of the supported [1/64, 64] range");
-}
 
 /**
  * Convert a latency configured in domain cycles to core cycles: a
@@ -39,49 +27,20 @@ toCoreCycles(Cycle domain_cycles, ClockRatio ratio)
 }
 
 /**
- * The one line size: a power of two, at least the 8-byte word every
- * load and store moves, and small enough that every enabled cache
- * keeps at least one set.
- */
-void
-validateLineBytes(const GpuConfig &config)
-{
-    const std::uint32_t line = config.sm.lineBytes;
-    if (!std::has_single_bit(line))
-        fatal("sm.lineBytes must be a power of two (got ", line, ")");
-    if (line < 8)
-        fatal("sm.lineBytes must be at least 8, the word a load or "
-              "store moves (got ", line, ")");
-    auto check_sets = [line](const char *cache_key,
-                             const CacheParams &cache) {
-        if (cache.capacityBytes / line < cache.ways)
-            fatal("sm.lineBytes=", line, " leaves ", cache_key, " (",
-                  cache.capacityBytes, " bytes, ", cache.ways,
-                  " ways) without a set");
-    };
-    if (config.sm.l1Enabled)
-        check_sets("sm.l1Cache", config.sm.l1Cache);
-    if (config.partition.l2Enabled)
-        check_sets("partition.l2Cache", config.partition.l2Cache);
-}
-
-/**
- * Validate the clock ratios and the machine's shape before anything
- * derives values from them — runs on the config as the very first
- * member initializer, ahead of the toCoreCycles() uses in the init
- * list.
+ * The config a Gpu is built from, judged by GpuConfig::validate()
+ * before any member derives a value from it: every violation, one
+ * line each, in one FatalError.
  */
 GpuConfig
-validatedConfig(GpuConfig config)
+validated(GpuConfig config)
 {
-    validateRatio("icnt", config.icntClock);
-    validateRatio("l2", config.l2Clock);
-    validateRatio("dram", config.dramClock);
-    if (config.numSms == 0)
-        fatal("numSms must be > 0");
-    if (config.numPartitions == 0)
-        fatal("numPartitions must be > 0");
-    validateLineBytes(config);
+    const std::vector<std::string> errors = config.validate();
+    if (!errors.empty()) {
+        std::string lines;
+        for (const std::string &error : errors)
+            lines += "\n" + error;
+        fatal("invalid config '", config.name, "':", lines);
+    }
     return config;
 }
 
@@ -124,7 +83,7 @@ usesLocalMemory(const Kernel &kernel)
 } // namespace
 
 Gpu::Gpu(GpuConfig config)
-    : config_(validatedConfig(std::move(config))),
+    : config_(validated(std::move(config))),
       dmem_(config_.deviceMemBytes),
       reqNet_("icnt.req", config_.numSms, config_.numPartitions,
               toCoreCycles(config_.icntLatency, config_.icntClock),
@@ -373,14 +332,26 @@ Gpu::validateLaunchShape(const Kernel &kernel, unsigned num_blocks,
 {
     if (num_blocks == 0 || threads_per_block == 0)
         fatal("launch of '", kernel.name, "' with empty grid/block");
+    // A block that can never fit an empty SM would wait for room
+    // until the watchdog fires.
     if (threads_per_block > config_.sm.warpSlots * kWarpSize)
         fatal("block of ", threads_per_block,
-              " threads exceeds SM capacity");
+              " threads exceeds SM capacity of sm.warpSlots=",
+              config_.sm.warpSlots, " warps");
     if (num_params > kMaxParams)
         fatal("too many kernel parameters");
     if (kernel.sharedBytes > config_.sm.smemPerSm)
         fatal("kernel shared memory ", kernel.sharedBytes,
-              " exceeds SM capacity ", config_.sm.smemPerSm);
+              " exceeds SM capacity sm.smemPerSm=",
+              config_.sm.smemPerSm);
+    const std::uint64_t block_regs =
+        std::uint64_t{(threads_per_block + kWarpSize - 1) / kWarpSize} *
+        kWarpSize * static_cast<std::uint64_t>(kernel.numRegs);
+    if (block_regs > config_.sm.regsPerSm)
+        fatal("block of ", threads_per_block, " threads at ",
+              kernel.numRegs, " registers each needs ", block_regs,
+              ", more than SM capacity sm.regsPerSm=",
+              config_.sm.regsPerSm);
 
     // The declared register count bounds each thread's register
     // file slice; code touching a register beyond it would corrupt

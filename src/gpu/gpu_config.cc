@@ -1,6 +1,9 @@
 #include "gpu/gpu_config.hh"
 
+#include <bit>
 #include <cctype>
+#include <tuple>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -225,6 +228,161 @@ canonicalName(const std::string &name)
 }
 
 } // namespace
+
+std::vector<std::string>
+GpuConfig::validate() const
+{
+    std::vector<std::string> errors;
+    // Formats only on a violation: Gpu::Gpu judges every cell, and a
+    // valid config must cost it no allocation.
+    auto reject = [&errors](const auto &...parts) {
+        errors.push_back(detail::concat(parts...));
+    };
+    const DramParams &dram = partition.dram;
+
+    const std::pair<const char *, ClockRatio> ratios[] = {
+        {"icntClock", icntClock},
+        {"l2Clock", l2Clock},
+        {"dramClock", dramClock},
+    };
+    for (const auto &[key, r] : ratios) {
+        if (r.mul == 0 || r.div == 0)
+            reject(key, " clock ratio must be positive (got ", r.mul,
+                   ":", r.div, ")");
+        else if (r.mul > 64 || r.div > 64)
+            reject(key, " clock ratio ", r.mul, ":", r.div,
+                   " out of the supported [1/64, 64] range");
+    }
+
+    // A zero here divides by zero, wedges a pipeline or leaves a
+    // component without the queue, table or unit it is built around.
+    const std::pair<const char *, std::uint64_t> counts[] = {
+        {"numSms", numSms},
+        {"numPartitions", numPartitions},
+        {"icntInQueue", icntInQueue},
+        {"icntOutQueue", icntOutQueue},
+        {"serving.maxConcurrent", serving.maxConcurrent},
+        {"sm.warpSlots", sm.warpSlots},
+        {"sm.numSchedulers", sm.numSchedulers},
+        {"sm.maxBlocksPerSm", sm.maxBlocksPerSm},
+        {"sm.smemBanks", sm.smemBanks},
+        {"sm.lsuQueueSize", sm.lsuQueueSize},
+        {"sm.l1MshrEntries", sm.l1MshrEntries},
+        {"sm.l1MshrMaxMerge", sm.l1MshrMaxMerge},
+        {"sm.l1MissQueueSize", sm.l1MissQueueSize},
+        {"partition.ropQueueSize", partition.ropQueueSize},
+        {"partition.l2QueueSize", partition.l2QueueSize},
+        {"partition.l2MshrEntries", partition.l2MshrEntries},
+        {"partition.l2MshrMaxMerge", partition.l2MshrMaxMerge},
+        {"mem.mshr.banks", partition.l2MshrBanks},
+        {"partition.dramQueueSize", partition.dramQueueSize},
+        {"partition.dramCmdInterval", partition.dramCmdInterval},
+        {"partition.returnQueueSize", partition.returnQueueSize},
+        {"partition.dram.banks", dram.banks},
+        {"partition.dram.rowBytes", dram.rowBytes},
+        {"mem.dram.ranks", dram.ranks},
+    };
+    for (const auto &[key, value] : counts)
+        if (value == 0)
+            reject(key, " must be > 0");
+
+    // Counts that size host arrays when a Gpu is built.
+    constexpr std::uint64_t kMaxCacheBytes = 64ull << 20;
+    const std::tuple<const char *, std::uint64_t, std::uint64_t>
+        bounded[] = {
+            {"numSms", numSms, 1024},
+            {"numPartitions", numPartitions, 256},
+            {"sm.warpSlots", sm.warpSlots, 1024},
+            {"sm.maxBlocksPerSm", sm.maxBlocksPerSm, 1024},
+            {"sm.numSchedulers", sm.numSchedulers, 1024},
+            {"partition.dram.banks", dram.banks, 256},
+            {"mem.dram.ranks", dram.ranks, 16},
+            {"mem.dram.bankGroups", dram.bankGroups, 256},
+            {"mem.mshr.banks", partition.l2MshrBanks, 1024},
+            {"sm.l1Cache.capacityBytes", sm.l1Cache.capacityBytes,
+             kMaxCacheBytes},
+            {"partition.l2Cache.capacityBytes",
+             partition.l2Cache.capacityBytes, kMaxCacheBytes},
+        };
+    for (const auto &[key, value, max] : bounded)
+        if (value > max)
+            reject(key, "=", value,
+                   " exceeds the supported maximum of ", max);
+
+    const std::uint32_t line = sm.lineBytes;
+    const bool line_ok = std::has_single_bit(line) && line >= 8;
+    if (!std::has_single_bit(line))
+        reject("sm.lineBytes must be a power of two (got ", line, ")");
+    else if (line < 8)
+        reject("sm.lineBytes must be at least 8, the word a load or "
+               "store moves (got ", line, ")");
+    else if (dram.rowBytes != 0 && line > dram.rowBytes)
+        reject("sm.lineBytes=", line,
+               " exceeds partition.dram.rowBytes=", dram.rowBytes,
+               ": a line must fit in one DRAM row");
+
+    // Each enabled cache keeps a power-of-two number of sets.
+    const std::tuple<const char *, bool, const CacheParams &>
+        caches[] = {
+            {"sm.l1Cache", sm.l1Enabled, sm.l1Cache},
+            {"partition.l2Cache", partition.l2Enabled,
+             partition.l2Cache},
+        };
+    for (const auto &[key, enabled, cache] : caches) {
+        if (!enabled)
+            continue;
+        if (cache.ways == 0) {
+            reject(key, ".ways must be > 0");
+            continue;
+        }
+        if (!line_ok || cache.capacityBytes > kMaxCacheBytes)
+            continue;
+        const std::uint64_t sets = cache.capacityBytes / line /
+                                   cache.ways;
+        if (sets == 0)
+            reject("sm.lineBytes=", line, " leaves ", key,
+                   " without a set (", key, ".capacityBytes=",
+                   cache.capacityBytes, ", ", key, ".ways=",
+                   cache.ways, ")");
+        else if (!std::has_single_bit(sets))
+            reject(key, ".ways=", cache.ways, " gives ", key, " ",
+                   sets, " sets, not a power of two (", key,
+                   ".capacityBytes=", cache.capacityBytes,
+                   ", sm.lineBytes=", line, ")");
+    }
+
+    if (partition.l2MshrBanks != 0 &&
+        partition.l2MshrBankEntries == 0 &&
+        partition.l2MshrEntries < partition.l2MshrBanks)
+        reject("mem.mshr.banks=", partition.l2MshrBanks,
+               " leaves no entry per bank of partition.l2MshrEntries=",
+               partition.l2MshrEntries,
+               " (set mem.mshr.bankEntries or use fewer banks)");
+    // A DRAM fill waits until the return queue has room for every
+    // response merged onto it at once; a larger merge cap wedges
+    // the partition.
+    if (partition.l2Enabled &&
+        partition.l2MshrMaxMerge > partition.returnQueueSize)
+        reject("partition.l2MshrMaxMerge=", partition.l2MshrMaxMerge,
+               " exceeds partition.returnQueueSize=",
+               partition.returnQueueSize,
+               ": a DRAM fill needs return-queue room for all of its "
+               "merged responses at once");
+
+    if (dram.bankGroups == 0 || dram.banks % dram.bankGroups != 0)
+        reject("mem.dram.bankGroups (", dram.bankGroups,
+               ") must divide partition.dram.banks (", dram.banks,
+               ")");
+    if (dram.ddr.tREFI != 0 && dram.ddr.tRFC >= dram.ddr.tREFI)
+        reject("mem.dram.tRFC (", dram.ddr.tRFC,
+               ") must be shorter than mem.dram.tREFI (",
+               dram.ddr.tREFI, ")");
+
+    if (serving.smsPerLaunch > numSms)
+        reject("serving.smsPerLaunch=", serving.smsPerLaunch,
+               " exceeds numSms=", numSms);
+    return errors;
+}
 
 GpuConfig
 makeConfig(const std::string &name)

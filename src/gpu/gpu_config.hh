@@ -166,6 +166,16 @@ struct GpuConfig
             ? partition.l2Cache.capacityBytes * numPartitions
             : 0;
     }
+
+    /**
+     * The one judge of a valid config: one line per violated rule,
+     * each starting with its dotted override key, and empty (no
+     * allocation) when every rule holds. Gpu::Gpu runs it first and
+     * throws them all as one FatalError, so a component constructor
+     * may assume a valid config. README "Override keys" lists the
+     * rules.
+     */
+    std::vector<std::string> validate() const;
 };
 
 /** @name Paper configurations @{ */

@@ -106,7 +106,7 @@ class LatencyCollector
     void
     resize(std::size_t shards)
     {
-        shards_.resize(shards ? shards : 1);
+        shards_.resize(shards);
     }
 
     Shard &shard(std::size_t i) { return shards_[i]; }
@@ -168,7 +168,7 @@ class ExposureCollector
     void
     resize(std::size_t shards)
     {
-        shards_.resize(shards ? shards : 1);
+        shards_.resize(shards);
     }
 
     Shard &shard(std::size_t i) { return shards_[i]; }

@@ -43,7 +43,7 @@ class DeviceMemory
         Addr base = (brk_ + align - 1) & ~(align - 1);
         if (outOfRange(base, bytes, size_))
             fatal("device memory exhausted: want ", bytes,
-                  " bytes at ", base, ", have ", size_);
+                  " bytes at ", base, ", have deviceMemBytes=", size_);
         brk_ = base + bytes;
         return base;
     }

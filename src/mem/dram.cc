@@ -10,24 +10,6 @@ DramChannel::DramChannel(std::string name, const DramParams &params,
                          StatRegistry *stats)
     : name_(std::move(name)), params_(params)
 {
-    if (params_.banks == 0)
-        fatal("partition.dram.banks must be > 0");
-    if (params_.rowBytes == 0)
-        fatal("partition.dram.rowBytes must be > 0");
-    if (params_.ranks == 0)
-        fatal("mem.dram.ranks must be > 0");
-    if (params_.bankGroups == 0 ||
-        params_.banks % params_.bankGroups != 0) {
-        fatal("mem.dram.bankGroups (", params_.bankGroups,
-              ") must divide partition.dram.banks (", params_.banks,
-              ")");
-    }
-    if (params_.ddr.tREFI != 0 &&
-        params_.ddr.tRFC >= params_.ddr.tREFI) {
-        fatal("mem.dram.tRFC (", params_.ddr.tRFC,
-              ") must be shorter than mem.dram.tREFI (",
-              params_.ddr.tREFI, ")");
-    }
     banks_.resize(static_cast<std::size_t>(params_.ranks) *
                   params_.banks);
     ranks_.resize(params_.ranks);

@@ -27,9 +27,13 @@ MemPartition::MemPartition(unsigned id, const PartitionParams &params,
       dram_("part" + std::to_string(id) + ".dram", params.dram, stats),
       returnQueue_(params.returnQueueSize, params.returnQueueLatency)
 {
-    // Every L2 miss would wait forever for DRAM-queue room.
-    if (params_.dramQueueSize == 0)
-        fatal("partition.dramQueueSize must be > 0");
+    // Either would wedge the partition: every L2 miss waiting for
+    // DRAM-queue room, or a fill waiting for more return-queue room
+    // than exists.
+    GPULAT_ASSERT(params_.dramQueueSize > 0, "no DRAM queue");
+    GPULAT_ASSERT(!params_.l2Enabled ||
+                      params_.l2MshrMaxMerge <= params_.returnQueueSize,
+                  "an MSHR fill cannot fit the return queue");
     const std::string prefix = "part" + std::to_string(id);
     if (params_.l2Enabled) {
         l2_ = std::make_unique<Cache>(prefix + ".l2", params_.l2Cache,
@@ -267,7 +271,6 @@ MemPartition::tickMemSide(Cycle now)
         }
 
         // Responses this completion fans out to: primary + merged.
-        std::size_t merged_count = 0;
         const bool tracked =
             params_.l2Enabled && l2Mshr_.pending(head.dramAddr());
         std::size_t needed = 1;
@@ -306,11 +309,9 @@ MemPartition::tickMemSide(Cycle now)
                     m.trace.dramData = done;
                     m.trace.hitLevel = HitLevel::Dram;
                     respond(now, std::move(m));
-                    ++merged_count;
                 }
             }
         }
-        (void)merged_count;
         respond(now, std::move(req));
     }
 
@@ -381,15 +382,6 @@ MemPartition::drained() const
            l2HitPipe_.empty() && l2MissPipe_.empty() &&
            l2Mshr_.empty() && dramQueue_.empty() &&
            dramInService_.empty() && returnQueue_.empty();
-}
-
-std::size_t
-MemPartition::inFlight() const
-{
-    return ropQueue_.size() + l2Queue_.size() + l2HitPipe_.size() +
-           l2MissPipe_.size() + l2Mshr_.inFlight() +
-           dramQueue_.size() + dramInService_.size() +
-           returnQueue_.size();
 }
 
 std::string

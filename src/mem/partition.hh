@@ -138,9 +138,6 @@ class MemPartition
     /** True when no request is anywhere inside the partition. */
     bool drained() const;
 
-    /** Requests anywhere inside the partition (for stall reports). */
-    std::size_t inFlight() const;
-
     /** One-line queue-occupancy summary (for stall reports). */
     std::string occupancySummary() const;
 

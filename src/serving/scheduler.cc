@@ -120,10 +120,9 @@ LaunchQueueScheduler::candidateSms(unsigned tenant) const
     }
     // Dynamic best effort: lowest-indexed free SMs, a fixed demand
     // per launch so admission never depends on queue contents.
-    const unsigned cap = std::max(1u, sv.maxConcurrent);
     const unsigned demand =
-        sv.smsPerLaunch != 0 ? std::min(sv.smsPerLaunch, num_sms)
-                             : std::max(1u, num_sms / cap);
+        sv.smsPerLaunch != 0 ? sv.smsPerLaunch
+                             : std::max(1u, num_sms / sv.maxConcurrent);
     for (unsigned s = 0; s < num_sms && out.size() < demand; ++s)
         if (!smBusy_[s])
             out.push_back(s);
@@ -186,8 +185,7 @@ void
 LaunchQueueScheduler::admitLaunches(Cycle now)
 {
     const auto &sv = gpu_.config().serving;
-    const unsigned cap = std::max(1u, sv.maxConcurrent);
-    while (active_.size() < cap && !queue_.empty()) {
+    while (active_.size() < sv.maxConcurrent && !queue_.empty()) {
         refreshAdmissibility(queue_);
         const std::size_t pick =
             pickNextLaunch(sv.policy, queue_, tenants_, rrCursor_);
@@ -247,7 +245,7 @@ LaunchQueueScheduler::nextEventAt(Cycle now) const
     // agree in every fast-forward mode.
     const auto &sv = gpu_.config().serving;
     if (!queue_.empty() &&
-        active_.size() < std::max(1u, sv.maxConcurrent)) {
+        active_.size() < sv.maxConcurrent) {
         std::vector<QueuedLaunch> snapshot = queue_;
         refreshAdmissibility(snapshot);
         if (pickNextLaunch(sv.policy, snapshot, tenants_,

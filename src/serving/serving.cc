@@ -183,10 +183,13 @@ ServingWorkload::name() const
 WorkloadResult
 ServingWorkload::run(Gpu &gpu)
 {
-    if (opts_.tenants == 0 || opts_.launches == 0)
-        fatal(name(), ": tenants and launches must be positive");
-    if (opts_.load <= 0.0)
-        fatal(name(), ": load must be positive");
+    checkParam(opts_.tenants > 0, name(), "tenants", "must be > 0");
+    checkParam(opts_.launches > 0, name(), "launches", "must be > 0");
+    checkParam(opts_.buffers > 0, name(), "buffers", "must be > 0");
+    checkParam(opts_.load > 0.0, name(), "load", "must be > 0 (got ",
+               opts_.load, ")");
+    checkParam(opts_.thinkCycles >= 0.0, name(), "think",
+               "must not be negative (got ", opts_.thinkCycles, ")");
 
     std::vector<ServingSession::TenantSpec> specs;
     for (unsigned t = 0; t < opts_.tenants; ++t) {

@@ -56,10 +56,19 @@ done:
 
 Bfs::Bfs(Options opts) : opts_(opts)
 {
-    graph_ = opts_.kind == GraphKind::Rmat
-        ? makeRmatGraph(opts_.scale, opts_.degree, opts_.seed)
-        : makeUniformGraph(opts_.nodes, opts_.degree, opts_.seed);
-    GPULAT_ASSERT(opts_.source < graph_.numNodes, "bad BFS source");
+    if (opts_.kind == GraphKind::Rmat) {
+        checkParam(opts_.scale >= 2 && opts_.scale < 30, name(),
+                   "scale", "must be in [2, 30) (got ", opts_.scale,
+                   ")");
+        graph_ = makeRmatGraph(opts_.scale, opts_.degree, opts_.seed);
+    } else {
+        checkParam(opts_.nodes > 1, name(), "nodes",
+                   "must be at least 2 (got ", opts_.nodes, ")");
+        graph_ = makeUniformGraph(opts_.nodes, opts_.degree, opts_.seed);
+    }
+    checkParam(opts_.source < graph_.numNodes, name(), "source",
+               "must name one of the graph's ", graph_.numNodes,
+               " nodes (got ", opts_.source, ")");
 }
 
 Kernel
@@ -90,6 +99,7 @@ Bfs::run(Gpu &gpu)
     gpu.copyToDevice(d_lvl, levels.data(), n * 8);
 
     const unsigned tpb = opts_.threadsPerBlock;
+    checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks =
         static_cast<unsigned>((n + tpb - 1) / tpb);
 

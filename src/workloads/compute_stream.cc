@@ -50,6 +50,7 @@ ComputeStream::run(Gpu &gpu)
 
     const double c = 0.5;
     const unsigned tpb = opts_.threadsPerBlock;
+    checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);
     const LaunchResult lr = gpu.launch(
         buildKernel(opts_.fmaDepth), blocks, tpb,

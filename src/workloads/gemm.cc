@@ -100,8 +100,8 @@ WorkloadResult
 Gemm::run(Gpu &gpu)
 {
     const unsigned n = opts_.n;
-    GPULAT_ASSERT(n >= 16 && n % 16 == 0 && std::has_single_bit(n),
-                  "gemm needs a power-of-two n >= 16");
+    checkParam(n >= 16 && std::has_single_bit(n), name(), "n",
+               "must be a power of two >= 16 (got ", n, ")");
     const std::uint64_t elems = static_cast<std::uint64_t>(n) * n;
 
     Rng rng(opts_.seed);

@@ -47,8 +47,8 @@ AtomicHistogram::buildKernel()
 WorkloadResult
 AtomicHistogram::run(Gpu &gpu)
 {
-    GPULAT_ASSERT(std::has_single_bit(opts_.bins),
-                  "bins must be a power of two");
+    checkParam(std::has_single_bit(opts_.bins), name(), "bins",
+               "must be a power of two (got ", opts_.bins, ")");
     const std::uint64_t n = opts_.n;
     Rng rng(opts_.seed);
     std::vector<std::uint64_t> data(n);
@@ -62,6 +62,7 @@ AtomicHistogram::run(Gpu &gpu)
     gpu.copyToDevice(d_hist, zeros.data(), opts_.bins * 8);
 
     const unsigned tpb = opts_.threadsPerBlock;
+    checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);
     const LaunchResult lr = gpu.launch(
         buildKernel(), blocks, tpb,

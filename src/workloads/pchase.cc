@@ -5,6 +5,15 @@ namespace gpulat {
 WorkloadResult
 PChase::run(Gpu &gpu)
 {
+    checkParam(opts_.strideBytes >= 8 && opts_.strideBytes % 8 == 0,
+               name(), "strideBytes",
+               "must be a positive multiple of 8 (got ",
+               opts_.strideBytes, ")");
+    checkParam(opts_.footprintBytes >= opts_.strideBytes, name(),
+               "footprintBytes", "must be at least strideBytes (got ",
+               opts_.footprintBytes, " < ", opts_.strideBytes, ")");
+    checkParam(opts_.timedAccesses > 0, name(), "timedAccesses",
+               "must be > 0");
     const PChaseResult r = runPointerChase(gpu, opts_);
 
     WorkloadResult result;

@@ -64,8 +64,9 @@ done:
 Kernel
 Reduction::buildKernel(unsigned threads_per_block)
 {
-    GPULAT_ASSERT(std::has_single_bit(threads_per_block),
-                  "reduction needs a power-of-two block");
+    checkParam(std::has_single_bit(threads_per_block), "reduction",
+               "threadsPerBlock", "must be a power of two (got ",
+               threads_per_block, ")");
     Kernel k = assemble(kReduceKernel);
     k.sharedBytes = threads_per_block * 8;
     return k;
@@ -76,6 +77,7 @@ Reduction::run(Gpu &gpu)
 {
     const std::uint64_t n = opts_.n;
     const unsigned tpb = opts_.threadsPerBlock;
+    const Kernel kernel = buildKernel(tpb);
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);
 
     Rng rng(opts_.seed);
@@ -88,8 +90,8 @@ Reduction::run(Gpu &gpu)
     const Addr d_part = gpu.alloc(blocks * 8);
     gpu.copyToDevice(d_in, in.data(), n * 8);
 
-    const LaunchResult lr = gpu.launch(buildKernel(tpb), blocks, tpb,
-                                       {d_in, d_part, n});
+    const LaunchResult lr =
+        gpu.launch(kernel, blocks, tpb, {d_in, d_part, n});
 
     std::vector<double> partials(blocks);
     gpu.copyFromDevice(partials.data(), d_part, blocks * 8);

@@ -112,8 +112,9 @@ Scan::buildAddOffsetsKernel()
 WorkloadResult
 Scan::run(Gpu &gpu)
 {
-    GPULAT_ASSERT(std::has_single_bit(opts_.blockElems),
-                  "scan needs a power-of-two block");
+    checkParam(std::has_single_bit(opts_.blockElems), name(),
+               "blockElems", "must be a power of two (got ",
+               opts_.blockElems, ")");
     const std::uint64_t n = opts_.n;
     const unsigned tpb = opts_.blockElems;
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);

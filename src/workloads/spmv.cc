@@ -90,6 +90,7 @@ SpMV::run(Gpu &gpu)
     gpu.copyToDevice(d_x, x.data(), rows * 8);
 
     const unsigned tpb = opts_.threadsPerBlock;
+    checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks =
         static_cast<unsigned>((rows + tpb - 1) / tpb);
     const LaunchResult lr = gpu.launch(

@@ -106,8 +106,9 @@ WorkloadResult
 Transpose::run(Gpu &gpu)
 {
     const unsigned n = opts_.n;
-    GPULAT_ASSERT(n >= 32 && n <= 1024 && std::has_single_bit(n),
-                  "transpose needs power-of-two n in [32, 1024]");
+    checkParam(n >= 32 && n <= 1024 && std::has_single_bit(n), name(),
+               "n", "must be a power of two in [32, 1024] (got ", n,
+               ")");
     const std::uint64_t elems =
         static_cast<std::uint64_t>(n) * n;
 

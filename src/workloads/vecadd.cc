@@ -62,6 +62,7 @@ VecAdd::run(Gpu &gpu)
     gpu.copyToDevice(d_b, b.data(), n * 8);
 
     const unsigned tpb = opts_.threadsPerBlock;
+    checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);
     const LaunchResult lr =
         gpu.launch(buildKernel(), blocks, tpb, {d_a, d_b, d_c, n});

@@ -11,9 +11,24 @@
 #include <map>
 #include <string>
 
+#include "common/log.hh"
 #include "gpu/gpu.hh"
 
 namespace gpulat {
+
+/**
+ * fatal() unless @p ok: a bad workload parameter is a named user
+ * error ("gemm: parameter 'n' must be ..."), never a signal or an
+ * assertion deep in the simulator.
+ */
+template <typename... Why>
+void
+checkParam(bool ok, const std::string &workload, const char *param,
+           const Why &...why)
+{
+    if (!ok)
+        fatal(workload, ": parameter '", param, "' ", why...);
+}
 
 /** Outcome of one workload run. */
 struct WorkloadResult

@@ -73,6 +73,37 @@ TEST(ParamMap, RejectsNegativeIntegers)
     EXPECT_THROW((void)map.getU64("n", 0), FatalError);
 }
 
+TEST(ParamMap, IntegersAreDecimalAndFitTheirField)
+{
+    const ParamMap map = ParamMap::parse(
+        {"octal=010", "hex=0x10", "plus=+5", "space= 5",
+         "wide=4294967328", "max=18446744073709551615",
+         "over=18446744073709551616"});
+    // A leading 0 is decimal, not octal.
+    EXPECT_EQ(map.getU64("octal", 0), 10u);
+    EXPECT_THROW((void)map.getU64("hex", 0), FatalError);
+    EXPECT_THROW((void)map.getU64("plus", 0), FatalError);
+    EXPECT_THROW((void)map.getU64("space", 0), FatalError);
+    // vecadd threadsPerBlock=4294967328 used to run 32-thread blocks.
+    EXPECT_EQ(map.getU64("wide", 0), 4294967328u);
+    EXPECT_THROW((void)map.getUnsigned("wide", 0), FatalError);
+    EXPECT_EQ(map.getU64("max", 0),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_THROW((void)map.getU64("over", 0), FatalError);
+}
+
+TEST(ParamMap, RealsAreFinite)
+{
+    const ParamMap map = ParamMap::parse(
+        {"nan=nan", "inf=inf", "huge=1e999", "sci=2.5e3", "neg=-0.5"});
+    // serve.mixed load=nan used to run.
+    EXPECT_THROW((void)map.getDouble("nan", 1.0), FatalError);
+    EXPECT_THROW((void)map.getDouble("inf", 1.0), FatalError);
+    EXPECT_THROW((void)map.getDouble("huge", 1.0), FatalError);
+    EXPECT_DOUBLE_EQ(map.getDouble("sci", 0.0), 2500.0);
+    EXPECT_DOUBLE_EQ(map.getDouble("neg", 0.0), -0.5);
+}
+
 // ----------------------------------------------------- config overrides
 
 TEST(ConfigOverride, AppliesDottedPaths)
@@ -162,6 +193,36 @@ TEST(ConfigOverride, ClockRatioForms)
                  FatalError);
 }
 
+TEST(ConfigOverride, IntegersAreDecimalAndFitTheirField)
+{
+    GpuConfig cfg = makeConfig("gf106");
+    auto message = [&cfg](const std::string &assignment) {
+        try {
+            applyOverride(cfg, assignment);
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    // Each of these used to read back a different value.
+    EXPECT_NE(message("seed=99999999999999999999").find("seed"),
+              std::string::npos);
+    EXPECT_EQ(readOverride(cfg, "seed"), "1");
+    EXPECT_NE(message("dramClock=4294967297/1").find("dramClock"),
+              std::string::npos);
+    EXPECT_EQ(readOverride(cfg, "dramClock"), "1/1");
+    applyOverride(cfg, "sm.warpSlots=010");
+    EXPECT_EQ(cfg.sm.warpSlots, 10u);
+    EXPECT_NE(message("sm.warpSlots=0x10").find("sm.warpSlots"),
+              std::string::npos);
+    EXPECT_NE(message("sm.warpSlots=4294967296").find("sm.warpSlots"),
+              std::string::npos);
+    EXPECT_NE(message("sm.warpSlots=+8").find("sm.warpSlots"),
+              std::string::npos);
+    EXPECT_EQ(cfg.sm.warpSlots, 10u);
+    EXPECT_EQ(message("seed=18446744073709551615"), "accepted");
+}
+
 TEST(ConfigOverride, ClockRatioNormalizesOnParse)
 {
     // "2/4" and "1/2" are the same frequency, so they must parse
@@ -191,7 +252,7 @@ TEST(ConfigOverride, ClockRatioNormalizesOnParse)
     // in-range ratio with large raw terms is accepted.
     applyOverride(cfg, "dramClock=128/256");
     EXPECT_EQ(readOverride(cfg, "dramClock"), "1/2");
-    Gpu gpu(cfg); // validateRatio sees {1,2}: in range
+    Gpu gpu(cfg); // validate() sees {1,2}: in range
     EXPECT_EQ(gpu.config().dramClock.div, 2u);
 }
 
@@ -303,7 +364,7 @@ TEST(WorkloadRegistry, PChaseIsAddressable)
     spec.params = {"footprintBytes=16384", "timedAccesses=64"};
     const ExperimentRecord rec = runExperiment(spec);
     EXPECT_TRUE(rec.correct);
-    EXPECT_GT(rec.metric("pchase_cycles_per_access"), 1.0);
+    EXPECT_GT(rec.metrics.at("pchase_cycles_per_access"), 1.0);
 }
 
 TEST(WorkloadRegistry, RejectsUnknownNamesAndParams)
@@ -426,7 +487,7 @@ TEST(Experiment, RecordCarriesStableMetrics)
           "stage_pct.sm_base", "stage_pct.dram_qtosch"}) {
         EXPECT_TRUE(rec.metrics.count(metric)) << metric;
     }
-    EXPECT_GT(rec.metric("requests"), 0.0);
+    EXPECT_GT(rec.metrics.at("requests"), 0.0);
     // Effective parameters are reported, defaults included.
     EXPECT_EQ(rec.params.at("n"), "2048");
 }
@@ -555,8 +616,8 @@ TEST(Experiment, RecordCarriesFastForwardSkipMetrics)
         const std::string metric =
             std::string("ff_skip_pct.") + domain;
         ASSERT_TRUE(rec.metrics.count(metric)) << metric;
-        EXPECT_GE(rec.metric(metric), 0.0) << metric;
-        EXPECT_LE(rec.metric(metric), 100.0) << metric;
+        EXPECT_GE(rec.metrics.at(metric), 0.0) << metric;
+        EXPECT_LE(rec.metrics.at(metric), 100.0) << metric;
         EXPECT_TRUE(rec.counters.count("engine." +
                                        std::string(domain) +
                                        ".ticks_run"))
@@ -564,7 +625,7 @@ TEST(Experiment, RecordCarriesFastForwardSkipMetrics)
     }
     // The default perDomain policy skips real work on any run with
     // memory waits.
-    EXPECT_GT(rec.metric("ff_skip_pct.dram"), 0.0);
+    EXPECT_GT(rec.metrics.at("ff_skip_pct.dram"), 0.0);
 }
 
 TEST(StatSinks, JsonAndCsvRender)

@@ -64,15 +64,6 @@ TEST(TimedQueue, HeadReadyAtReportsCycle)
     EXPECT_EQ(q.headReadyAt(), 125u);
 }
 
-TEST(TimedQueue, OccupancyStats)
-{
-    TimedQueue<int> q(4, 1);
-    q.push(0, 1);
-    q.push(0, 2);
-    EXPECT_EQ(q.maxOccupancy(), 2u);
-    EXPECT_DOUBLE_EQ(q.meanOccupancy(), 1.5);
-}
-
 TEST(TimedQueue, LaterPushesKeepOrderEvenWhenReadyEarlier)
 {
     // FIFO: the head blocks younger entries even if they were

@@ -4,8 +4,14 @@
  * invariants, and launch-time validation.
  */
 
+#include <chrono>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "api/cli.hh"
 #include "api/config_override.hh"
 #include "gpu/gpu.hh"
 #include "isa/assembler.hh"
@@ -157,6 +163,247 @@ TEST(LaunchValidation, BadShapesNameTheirKey)
         const std::string what = e.what();
         EXPECT_NE(what.find("partition.l2Cache"), std::string::npos)
             << what;
+    }
+}
+
+TEST(LaunchValidation, BlockThatCanNeverFitNamesItsKey)
+{
+    // A block no empty SM can hold would wait for room until the
+    // watchdog fires; each such launch is a named error instead.
+    const Kernel k = assemble(R"(
+        .shared 1024
+        s2r r9, tid
+        exit
+    )");
+    struct Case
+    {
+        const char *set;
+        const char *key;
+        unsigned threads;
+    };
+    for (const Case &c : {Case{"sm.warpSlots=4", "sm.warpSlots", 160},
+                          Case{"sm.smemPerSm=512", "sm.smemPerSm", 32},
+                          Case{"sm.regsPerSm=0", "sm.regsPerSm", 32},
+                          Case{"sm.regsPerSm=64", "sm.regsPerSm", 32}}) {
+        GpuConfig cfg = makeGF106();
+        applyOverride(cfg, c.set);
+        Gpu gpu(cfg);
+        try {
+            gpu.launch(k, 1, c.threads, {});
+            ADD_FAILURE() << c.set << " launched";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(c.key), std::string::npos) << what;
+        }
+    }
+    // A block that fits exactly still runs: 2 warps x 32 lanes x the
+    // kernel's registers.
+    GpuConfig cfg = makeGF106();
+    cfg.sm.regsPerSm = 64 * static_cast<unsigned>(k.numRegs);
+    Gpu gpu(cfg);
+    EXPECT_NO_THROW(gpu.launch(k, 2, 64, {}));
+}
+
+/** `gpulat run --no-table ARGS` in process: exit code and stderr. */
+int
+runGpulat(const std::vector<std::string> &args, std::string &err)
+{
+    std::vector<const char *> argv = {"gpulat", "run", "--no-table"};
+    for (const std::string &arg : args)
+        argv.push_back(arg.c_str());
+    std::ostringstream out;
+    std::ostringstream errs;
+    const int rc = runCli(static_cast<int>(argv.size()), argv.data(),
+                          out, errs);
+    err = errs.str();
+    return rc;
+}
+
+TEST(Validation, EveryBadInputExitsTwoByName)
+{
+    struct Case
+    {
+        std::vector<std::string> args;
+        std::string names; ///< the key or parameter to blame
+    };
+    // Default cell: gf106 vecadd n=4096 with one bad override.
+    auto set = [](const std::string &assignment) {
+        return Case{{"--gpu", "gf106", "--workload", "vecadd", "n=4096",
+                     "--set", assignment},
+                    assignment.substr(0, assignment.find('='))};
+    };
+    auto cell = [](const std::string &gpu, const std::string &workload,
+                   std::vector<std::string> rest,
+                   const std::string &names) {
+        std::vector<std::string> args = {"--gpu", gpu, "--workload",
+                                         workload};
+        args.insert(args.end(), rest.begin(), rest.end());
+        return Case{args, names};
+    };
+    const std::vector<Case> cases = {
+        // Rules that moved from the constructors.
+        set("icntClock=65/1"),
+        set("dramClock=1/65"),
+        set("numSms=0"),
+        set("numPartitions=0"),
+        set("sm.lineBytes=96"),
+        set("sm.lineBytes=4"),
+        set("sm.lineBytes=65536"),
+        set("partition.dram.banks=0"),
+        set("partition.dram.rowBytes=0"),
+        set("mem.dram.ranks=0"),
+        set("mem.dram.bankGroups=3"),
+        cell("gf106", "vecadd",
+             {"n=4096", "--set", "mem.dram.tREFI=100", "--set",
+              "mem.dram.tRFC=100"},
+             "mem.dram.tRFC"),
+        set("partition.dramQueueSize=0"),
+        // Each key at least 1.
+        set("partition.dramCmdInterval=0"),
+        set("sm.maxBlocksPerSm=0"),
+        set("sm.lsuQueueSize=0"),
+        set("sm.l1MissQueueSize=0"),
+        set("icntInQueue=0"),
+        set("icntOutQueue=0"),
+        set("partition.ropQueueSize=0"),
+        set("partition.l2QueueSize=0"),
+        set("partition.returnQueueSize=0"),
+        set("sm.numSchedulers=0"),
+        set("sm.warpSlots=0"),
+        set("sm.smemBanks=0"),
+        cell("gf106", "reduction",
+             {"n=4096", "--set", "sm.smemBanks=0"}, "sm.smemBanks"),
+        set("sm.l1MshrEntries=0"),
+        set("sm.l1MshrMaxMerge=0"),
+        set("partition.l2MshrEntries=0"),
+        set("partition.l2MshrMaxMerge=0"),
+        set("mem.mshr.banks=0"),
+        set("sm.l1Cache.ways=0"),
+        set("partition.l2Cache.ways=0"),
+        set("serving.maxConcurrent=0"),
+        // Rules between keys.
+        set("sm.l1Cache.ways=3"),
+        cell("gt200", "vecadd",
+             {"n=4096", "--set", "sm.lineBytes=2147483648"},
+             "sm.lineBytes"),
+        set("partition.dram.rowBytes=64"),
+        set("mem.mshr.banks=128"),
+        set("serving.smsPerLaunch=5"),
+        // Upper bounds on counts that size host arrays.
+        set("numSms=100000"),
+        set("numPartitions=100000"),
+        set("sm.warpSlots=4294967295"),
+        set("sm.maxBlocksPerSm=4294967295"),
+        set("sm.numSchedulers=4294967295"),
+        set("partition.dram.banks=4294967295"),
+        set("mem.dram.ranks=4294967295"),
+        set("mem.dram.bankGroups=4294967295"),
+        set("mem.mshr.banks=4294967295"),
+        set("sm.l1Cache.capacityBytes=1099511627776"),
+        set("partition.l2Cache.capacityBytes=1099511627776"),
+        // One decimal, range-checked number parser.
+        set("seed=99999999999999999999"),
+        set("dramClock=4294967297/1"),
+        set("sm.warpSlots=0x10"),
+        set("sm.warpSlots=+16"),
+        cell("gf106", "vecadd", {"n=1024", "threadsPerBlock=4294967328"},
+             "threadsPerBlock"),
+        cell("gf106", "serve.mixed", {"load=nan"}, "load"),
+        cell("gf106", "vecadd", {"n=4096", "--scale", "nan"}, "--scale"),
+        // Launches that could never dispatch.
+        set("sm.regsPerSm=0"),
+        set("sm.regsPerSm=64"),
+        set("sm.warpSlots=4"),
+        cell("gf106", "reduction", {"n=4096", "--set", "sm.smemPerSm=1024"},
+             "sm.smemPerSm"),
+        // Workload parameters: never a signal (a block of 0 threads
+        // divides by zero) or an assertion inside the simulator.
+        cell("gf106", "vecadd", {"n=4096", "threadsPerBlock=0"},
+             "threadsPerBlock"),
+        cell("gf106", "bfs", {"scale=6", "threadsPerBlock=0"},
+             "threadsPerBlock"),
+        cell("gf106", "compute_stream", {"n=1024", "threadsPerBlock=0"},
+             "threadsPerBlock"),
+        cell("gf106", "histogram", {"n=1024", "threadsPerBlock=0"},
+             "threadsPerBlock"),
+        cell("gf106", "reduction", {"n=1024", "threadsPerBlock=0"},
+             "threadsPerBlock"),
+        cell("gf106", "spmv", {"rows=256", "threadsPerBlock=0"},
+             "threadsPerBlock"),
+        cell("gf106", "scan", {"n=1024", "blockElems=0"}, "blockElems"),
+        cell("gf106", "gemm", {"n=17"}, "'n'"),
+        cell("gf106", "transpose_naive", {"n=17"}, "'n'"),
+        cell("gf106", "transpose_tiled", {"n=2048"}, "'n'"),
+        cell("gf106", "bfs", {"scale=6", "source=64"}, "source"),
+        cell("gf106", "bfs", {"nodes=1"}, "nodes"),
+        cell("gf106", "bfs", {"scale=1"}, "scale"),
+        cell("gf106", "histogram", {"n=1024", "bins=3"}, "bins"),
+        cell("gf106", "reduction", {"n=1024", "threadsPerBlock=96"},
+             "threadsPerBlock"),
+        cell("gf106", "scan", {"n=1024", "blockElems=96"}, "blockElems"),
+        cell("gf106", "pchase", {"strideBytes=4"}, "strideBytes"),
+        cell("gf106", "pchase", {"footprintBytes=64"}, "footprintBytes"),
+        cell("gf106", "pchase", {"timedAccesses=0"}, "timedAccesses"),
+        cell("gf106", "serve.closed", {"think=-5"}, "think"),
+        cell("gf106", "serve.mixed", {"load=0"}, "load"),
+        cell("gf106", "serve.mixed", {"buffers=0"}, "buffers"),
+    };
+    for (const Case &c : cases) {
+        std::string what;
+        for (const std::string &arg : c.args)
+            what += arg + " ";
+        std::string err;
+        EXPECT_EQ(runGpulat(c.args, err), 2) << what << "\n" << err;
+        EXPECT_NE(err.find(c.names), std::string::npos)
+            << what << "\n" << err;
+        EXPECT_EQ(err.find("panic"), std::string::npos)
+            << what << "\n" << err;
+    }
+
+    // The fan-out wedge: at the parent this cell never ended, and
+    // the watchdog never fired.
+    std::string err;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(runGpulat({"--gpu", "gf106", "--workload", "histogram",
+                         "bins=1", "n=2048", "--set",
+                         "partition.l2MshrMaxMerge=64"},
+                        err),
+              2);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took.count(), 1.0);
+    EXPECT_NE(err.find("partition.l2MshrMaxMerge=64 exceeds "
+                       "partition.returnQueueSize=32"),
+              std::string::npos)
+        << err;
+}
+
+TEST(Validation, EveryViolationIsReportedAtOnce)
+{
+    // One FatalError, one line per violated rule, each starting with
+    // its dotted key.
+    GpuConfig cfg = makeGF106();
+    applyOverrides(cfg, {"partition.dramCmdInterval=0",
+                         "mem.mshr.banks=0", "sm.l1Cache.ways=3"});
+    const std::vector<std::string> errors = cfg.validate();
+    ASSERT_EQ(errors.size(), 3u);
+    try {
+        Gpu gpu(cfg);
+        FAIL() << "three violations accepted";
+    } catch (const FatalError &e) {
+        std::istringstream lines(e.what());
+        std::string line;
+        std::getline(lines, line);
+        EXPECT_EQ(line, "fatal: invalid config 'gf106':");
+        for (const std::string &error : errors) {
+            ASSERT_TRUE(std::getline(lines, line));
+            EXPECT_EQ(line, error);
+        }
+        EXPECT_FALSE(std::getline(lines, line)) << line;
+    }
+    for (const std::string &error : errors) {
+        const std::string key = error.substr(0, error.find_first_of(" ="));
+        EXPECT_NO_THROW(readOverride(cfg, key)) << error;
     }
 }
 

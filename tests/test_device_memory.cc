@@ -78,7 +78,7 @@ TEST(DeviceMemory, ExhaustedAtTheSameByte)
     EXPECT_EQ(dmem.allocated(), kMiB);
     EXPECT_EQ(fatalMessage([&] { dmem.alloc(1); }),
               "fatal: device memory exhausted: want 1 bytes at "
-              "1048576, have 1048576");
+              "1048576, have deviceMemBytes=1048576");
 }
 
 TEST(DeviceMemory, WrappingRangesAreFatal)

@@ -367,8 +367,8 @@ TEST(Gpu, BackToBackLaunchesShareState)
  * A config whose L2 MSHR can merge more same-line misses than the
  * return queue can ever fan out to at once: the DRAM fill needs
  * `peekCount` free return slots in a single cycle, so 4 merged
- * loads against a 2-deep return queue wedge the partition forever
- * — a genuine, deterministic hang for watchdog tests.
+ * loads against a 2-deep return queue would wedge the partition
+ * forever.
  */
 GpuConfig
 deadlockConfig()
@@ -381,13 +381,28 @@ deadlockConfig()
     cfg.partition.returnQueueSize = 2;
     cfg.partition.l2MshrEntries = 8;
     cfg.partition.l2MshrMaxMerge = 8;
-    cfg.engine.watchdogStallSteps = 20000; // fast tests
     return cfg;
+}
+
+TEST(Gpu, FanOutWedgeIsANamedError)
+{
+    try {
+        Gpu gpu(deadlockConfig());
+        FAIL() << "the fan-out wedge was accepted";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("partition.l2MshrMaxMerge=8"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("partition.returnQueueSize=2"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 /** All 4 warps load the same line (1 primary + 3 merged misses)
  *  and *consume* the value, so they stay resident, stalled on the
- *  register dependency, while the fill is wedged. */
+ *  register dependency, while the fill is outstanding. */
 Kernel
 sameLineLoadKernel()
 {
@@ -397,6 +412,45 @@ sameLineLoadKernel()
         iadd r3, r2, 1
         exit
     )");
+}
+
+/** Due every core cycle, and never does anything. */
+class StuckComponent : public Clocked
+{
+  public:
+    void tick(Cycle) override {}
+    Cycle nextEventAt(Cycle now) const override { return now; }
+};
+
+/**
+ * The watchdog's report on a genuine hang: a component due every
+ * cycle keeps the engine stepping one cycle at a time while every
+ * load waits a million cycles in DRAM, and the run's done() never
+ * holds — so the activity signature freezes while the step count
+ * grows. Empty if nothing panicked.
+ */
+std::string
+hangReport(IdleFastForward mode)
+{
+    GpuConfig cfg = makeGF106();
+    cfg.numSms = 1;
+    cfg.numPartitions = 1;
+    cfg.deviceMemBytes = 16 * 1024 * 1024;
+    cfg.idleFastForward = mode;
+    cfg.partition.dram.timing.tExtra = 1000000;
+    cfg.engine.watchdogStallSteps = 20000; // fast tests
+    StuckComponent stuck;
+    Gpu gpu(std::move(cfg));
+    gpu.engine().add(*gpu.engine().findDomain("core"), stuck);
+    const Kernel k = sameLineLoadKernel();
+    const Addr buf = gpu.alloc(256);
+    gpu.beginLaunch(k, 1, 128, {buf}, {0});
+    try {
+        gpu.run([] { return false; }, "hang");
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 /** First integer following @p key in @p text (-1 if absent). */
@@ -412,24 +466,13 @@ numberAfter(const std::string &text, const std::string &key)
 TEST(Gpu, WatchdogPanicReportIsSettled)
 {
     // Under perDomain fast-forward the SM sleeps through the whole
-    // wedged wait with an *open* lazy idle-accounting window; the
+    // DRAM wait with an *open* lazy idle-accounting window; the
     // stall report must settle() before reading statistics, or it
     // shows the idle total from the moment the SM fell asleep
     // (a few hundred cycles) instead of the stall-time truth
     // (roughly the full simulated timeline).
-    GpuConfig cfg = deadlockConfig();
-    cfg.idleFastForward = IdleFastForward::PerDomain;
-    Gpu gpu(std::move(cfg));
-    const Kernel k = sameLineLoadKernel();
-    const Addr buf = gpu.alloc(256);
-
-    std::string report;
-    try {
-        gpu.launch(k, 1, 128, {buf});
-        FAIL() << "wedged launch must panic";
-    } catch (const PanicError &e) {
-        report = e.what();
-    }
+    const std::string report = hangReport(IdleFastForward::PerDomain);
+    ASSERT_FALSE(report.empty()) << "the hang must panic";
 
     EXPECT_NE(report.find("no forward progress"), std::string::npos)
         << report;
@@ -447,13 +490,10 @@ TEST(Gpu, WatchdogPanicReportIsSettled)
 TEST(Gpu, WatchdogStillCatchesRealHangInOffMode)
 {
     // No fast-forward, no promises: the naive reference must still
-    // detect the wedge (steps and cycles coincide in Off mode).
-    GpuConfig cfg = deadlockConfig();
-    cfg.idleFastForward = IdleFastForward::Off;
-    Gpu gpu(std::move(cfg));
-    const Addr buf = gpu.alloc(256);
-    EXPECT_THROW(gpu.launch(sameLineLoadKernel(), 1, 128, {buf}),
-                 PanicError);
+    // detect the hang (steps and cycles coincide in Off mode).
+    EXPECT_NE(hangReport(IdleFastForward::Off).find(
+                  "no forward progress"),
+              std::string::npos);
 }
 
 TEST(Gpu, WatchdogCountsStepsNotCycles)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
+#include "gpu/gpu.hh"
 #include "mem/partition.hh"
 
 namespace gpulat {
@@ -247,12 +248,12 @@ TEST(Partition, BackpressuresWhenRopFull)
 
 TEST(Partition, EmptyDramQueueIsANamedError)
 {
-    // With no DRAM-queue room every L2 miss would wait forever.
-    StatRegistry stats;
-    PartitionParams p = testParams();
-    p.dramQueueSize = 0;
+    // With no DRAM-queue room every L2 miss would wait forever;
+    // Gpu::Gpu refuses the config before any partition is built.
+    GpuConfig cfg = makeGF106();
+    cfg.partition.dramQueueSize = 0;
     try {
-        MemPartition part(0, p, &stats);
+        Gpu gpu(cfg);
         FAIL() << "dramQueueSize=0 accepted";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find(

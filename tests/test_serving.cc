@@ -378,7 +378,7 @@ TEST(Serving, FastForwardModesAgree)
             if (name.rfind("serving.", 0) != 0)
                 continue;
             ++serving_metrics;
-            EXPECT_EQ(value, per_domain.metric(name))
+            EXPECT_EQ(value, per_domain.metrics.at(name))
                 << what << ": " << name;
         }
         EXPECT_GT(serving_metrics, 0u) << what;
@@ -409,7 +409,7 @@ TEST(Serving, PoliciesSpreadTheTailUnderSaturation)
         spec.overrides = {std::string("serving.policy=") + policy};
         const ExperimentRecord rec = runExperiment(spec);
         EXPECT_TRUE(rec.correct) << policy;
-        p99s.insert(rec.metric("serving.p99_latency"));
+        p99s.insert(rec.metrics.at("serving.p99_latency"));
     }
     EXPECT_GE(p99s.size(), 2u);
 }

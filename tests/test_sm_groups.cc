@@ -340,7 +340,7 @@ TEST(SmGroupDeterminism, ComputeHeavyOutputIsByteIdentical)
                                {"sm.warpSlots=48", "engine.tickJobs=8"});
         EXPECT_EQ(renderRecord(a), renderRecord(b)) << workload;
         EXPECT_TRUE(a.correct) << workload;
-        EXPECT_EQ(a.metric("analysis.sm_parallel"), 1.0) << workload;
+        EXPECT_EQ(a.metrics.at("analysis.sm_parallel"), 1.0) << workload;
     }
 }
 
