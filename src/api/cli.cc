@@ -3,7 +3,6 @@
 #include <chrono>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -11,8 +10,8 @@
 
 #include "api/config_override.hh"
 #include "api/experiment.hh"
+#include "api/key.hh"
 #include "api/parallel_runner.hh"
-#include "api/param_map.hh"
 #include "api/workload_registry.hh"
 #include "common/log.hh"
 #include "common/table.hh"
@@ -23,6 +22,20 @@
 namespace gpulat {
 
 namespace {
+
+/** The latency reports `--report` prints per run. */
+enum class Report : std::uint8_t { None, Summary, Fig1, Fig2, All };
+
+constexpr Spelling<Report> kReportSpellings[] = {
+    {"summary", Report::Summary},
+    {"fig1", Report::Fig1},
+    {"fig2", Report::Fig2},
+    {"all", Report::All},
+};
+
+/** The most `--buckets` a report takes: each is one chart row, and
+ *  the breakdown value-initializes all of them. */
+constexpr std::uint64_t kMaxBuckets = 4096;
 
 int
 usage(std::ostream &err)
@@ -64,10 +77,11 @@ usage(std::ostream &err)
            "byte-identical to\n"
            "                     --tick-jobs 1; same as --set "
            "engine.tickJobs=N)\n"
-           "  --report KIND      summary|fig1|fig2|all per-run "
-           "latency reports\n"
-           "  --buckets N        report latency buckets "
-           "(default 48)\n"
+           "  --report KIND      "
+        << spellingList(kReportSpellings)
+        << " per-run latency reports\n"
+           "  --buckets N        report latency buckets, 1.."
+        << kMaxBuckets << " (default 48)\n"
            "  --stats            dump raw per-unit counters per "
            "run\n"
            "\n"
@@ -119,9 +133,11 @@ listWorkloads(std::ostream &out)
         const WorkloadEntry *entry = reg.find(name);
         out << "  " << name << workloadVerdictTag(name)
             << " — " << entry->description << "\n";
+        const ParamMap defaults = reg.listedDefaults(name);
         for (const WorkloadParamSpec &p : entry->params) {
             out << "      " << p.name << " (default "
-                << p.defaultValue << "): " << p.help << "\n";
+                << defaults.entries().at(p.name) << "): " << p.help
+                << "\n";
         }
     }
 }
@@ -149,33 +165,13 @@ listKeys(std::ostream &out)
     }
 }
 
-double
-parseDouble(const std::string &flag, const std::string &text)
-{
-    const auto v = parseFinite(text);
-    if (!v)
-        fatal("'", flag, "' needs a finite number, got '", text, "'");
-    return *v;
-}
-
-std::size_t
-parseSize(const std::string &flag, const std::string &text)
-{
-    const auto v =
-        parseDecimal(text, std::numeric_limits<std::size_t>::max());
-    if (!v)
-        fatal("'", flag, "' needs a non-negative integer, got '",
-              text, "'");
-    return *v;
-}
-
 struct CliOptions
 {
     ExperimentSpec spec;
     std::vector<std::string> jsonOuts;
     std::vector<std::string> csvOuts;
     bool table = true;
-    std::string report;
+    Report report = Report::None;
     std::size_t buckets = 48;
     bool dumpStats = false;
     std::size_t jobs = 1; ///< 0 = hardware concurrency
@@ -200,7 +196,7 @@ parseRunArgs(const std::vector<std::string> &args, CliOptions &opts,
         } else if (arg == "--set") {
             opts.spec.overrides.push_back(next());
         } else if (arg == "--scale") {
-            opts.spec.scale = parseDouble(arg, next());
+            opts.spec.scale = parseValue<double>(arg, next());
         } else if (arg == "--json") {
             opts.jsonOuts.push_back(next());
         } else if (arg == "--csv") {
@@ -208,9 +204,21 @@ parseRunArgs(const std::vector<std::string> &args, CliOptions &opts,
         } else if (arg == "--no-table") {
             opts.table = false;
         } else if (arg == "--report") {
-            opts.report = next();
+            const std::string &kind = next();
+            const auto report = unspell(kReportSpellings, kind);
+            if (!report) {
+                fatal("'--report' needs ", spellingList(kReportSpellings),
+                      ", got '", kind, "'");
+            }
+            opts.report = *report;
         } else if (arg == "--buckets") {
-            opts.buckets = parseSize(arg, next());
+            const std::string &text = next();
+            const auto buckets = parseDecimal(text, kMaxBuckets);
+            if (!buckets || *buckets == 0) {
+                fatal("'--buckets' needs an integer in [1, ", kMaxBuckets,
+                      "], got '", text, "'");
+            }
+            opts.buckets = *buckets;
         } else if (arg == "--jobs") {
             opts.jobs = parseJobs(next());
         } else if (arg == "--tick-jobs") {
@@ -281,7 +289,7 @@ runOrSweep(const CliOptions &opts, bool allow_sweep,
     if (opts.table && !stdoutTaken)
         sinks.add(std::make_unique<TextTableSink>(out));
 
-    const bool wantsReport = !opts.report.empty() || opts.dumpStats;
+    const bool wantsReport = opts.report != Report::None || opts.dumpStats;
     if (wantsReport && stdoutTaken) {
         fatal("--report/--stats write to stdout; use a file for "
               "--json/--csv");
@@ -301,17 +309,17 @@ runOrSweep(const CliOptions &opts, bool allow_sweep,
         for (const auto &[k, v] : rec.overrides)
             ros << " " << k << "=" << v;
         ros << " ===\n";
-        const bool all = opts.report == "all";
-        if (opts.report == "summary" || all) {
+        const bool all = opts.report == Report::All;
+        if (opts.report == Report::Summary || all) {
             computeSummary(gpu.latencies().traces()).print(ros);
             ros << "\n";
         }
-        if (opts.report == "fig1" || all) {
+        if (opts.report == Report::Fig1 || all) {
             computeBreakdown(gpu.latencies().traces(), opts.buckets)
                 .printChart(ros);
             ros << "\n";
         }
-        if (opts.report == "fig2" || all) {
+        if (opts.report == Report::Fig2 || all) {
             computeExposure(gpu.exposure().records(), opts.buckets)
                 .printChart(ros);
             ros << "\n";

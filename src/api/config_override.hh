@@ -11,22 +11,16 @@
 #ifndef GPULAT_API_CONFIG_OVERRIDE_HH
 #define GPULAT_API_CONFIG_OVERRIDE_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "api/key.hh"
 #include "gpu/gpu_config.hh"
 
 namespace gpulat {
 
 /** One overridable dotted-path key of GpuConfig. */
-struct ConfigKey
-{
-    std::string path;     ///< e.g. "partition.dram.timing.tRCD"
-    const char *type;     ///< human-readable value type
-    std::function<void(GpuConfig &, const std::string &)> set;
-    std::function<std::string(const GpuConfig &)> get;
-};
+using ConfigKey = Key<GpuConfig>;
 
 /** All overridable keys, sorted by path. */
 const std::vector<ConfigKey> &configKeys();

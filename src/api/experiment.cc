@@ -244,8 +244,9 @@ runExperiment(
     if (spec.workload.empty())
         fatal("experiment needs a workload (see `gpulat list`)");
 
-    const WorkloadRegistry &reg = WorkloadRegistry::instance();
-    auto workload = reg.create(spec.workload, effectiveParams(spec));
+    const ParamMap params = effectiveParams(spec);
+    auto workload = WorkloadRegistry::instance().create(spec.workload,
+                                                        params);
 
     Gpu gpu(buildConfig(spec));
     const WorkloadResult result = workload->run(gpu);
@@ -253,10 +254,7 @@ runExperiment(
     ExperimentRecord rec = collectRecord(gpu, spec, result);
     // Report the *effective* parameters (scaled defaults merged
     // with the user's), so a record is re-runnable verbatim.
-    rec.params.clear();
-    const ParamMap effective = effectiveParams(spec);
-    for (const auto &[k, v] : effective.entries())
-        rec.params[k] = v;
+    rec.params = params.entries();
 
     if (inspect)
         inspect(gpu, rec);

@@ -2,24 +2,17 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <limits>
 #include <mutex>
 #include <thread>
 
-#include "api/param_map.hh"
-#include "common/log.hh"
+#include "api/key.hh"
 
 namespace gpulat {
 
 std::size_t
 parseJobs(const std::string &text, const char *flag)
 {
-    const auto jobs =
-        parseDecimal(text, std::numeric_limits<std::size_t>::max());
-    if (!jobs)
-        fatal("'", flag, "' needs a non-negative integer, got '",
-              text, "'");
-    return *jobs;
+    return parseValue<std::size_t>(flag, text);
 }
 
 std::size_t

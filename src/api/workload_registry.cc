@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "api/key.hh"
 #include "common/log.hh"
 #include "serving/serving.hh"
 #include "workloads/bfs.hh"
@@ -29,163 +30,76 @@ scaledSize(std::uint64_t full, std::uint64_t min, double scale)
         static_cast<std::uint64_t>(static_cast<double>(full) * scale));
 }
 
-std::unique_ptr<Workload>
-makeBfs(const ParamMap &p)
+/** Workload parameter @p name: a key over @p member of the Options. */
+template <typename Options, typename T>
+Key<Options>
+param(std::string name, T Options::*member, std::string help)
 {
-    Bfs::Options opts;
-    // `nodes` only applies to uniform graphs, so setting it without
-    // an explicit kind implies uniform (the common CLI shorthand
-    // `--workload bfs nodes=4096`).
-    const std::string kind =
-        p.getString("kind", p.has("nodes") ? "uniform" : "rmat");
-    if (kind == "rmat") {
-        opts.kind = Bfs::GraphKind::Rmat;
-    } else if (kind == "uniform") {
-        opts.kind = Bfs::GraphKind::Uniform;
-    } else {
-        fatal("bfs: kind must be rmat|uniform, got '", kind, "'");
-    }
-    opts.nodes = p.getU64("nodes", opts.nodes);
-    opts.scale = p.getUnsigned("scale", opts.scale);
-    opts.degree = p.getUnsigned("degree", opts.degree);
-    opts.seed = p.getU64("seed", opts.seed);
-    opts.source = p.getU64("source", opts.source);
-    opts.threadsPerBlock =
-        p.getUnsigned("threadsPerBlock", opts.threadsPerBlock);
-    return std::make_unique<Bfs>(opts);
+    Key<Options> key = makeKey<Options>(std::move(name), "", member);
+    key.help = std::move(help);
+    return key;
 }
 
-std::unique_ptr<Workload>
-makeComputeStream(const ParamMap &p)
+/** An enum parameter; its help ends with the spellings. */
+template <typename Options, typename E, std::size_t N>
+Key<Options>
+param(std::string name, E Options::*member,
+      const Spelling<E> (&table)[N], const std::string &what)
 {
-    ComputeStream::Options opts;
-    opts.n = p.getU64("n", opts.n);
-    opts.fmaDepth = p.getUnsigned("fmaDepth", opts.fmaDepth);
-    opts.threadsPerBlock =
-        p.getUnsigned("threadsPerBlock", opts.threadsPerBlock);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<ComputeStream>(opts);
+    Key<Options> key = makeKey<Options>(std::move(name), table, member);
+    key.help = what + ": " + key.type;
+    return key;
 }
 
-std::unique_ptr<Workload>
-makeVecAdd(const ParamMap &p)
+/**
+ * The entry of workload W, whose parameters are @p keys over
+ * W::Options. Assignments apply in sorted key order on top of
+ * @p start(assignments), the Options before any key applies
+ * (default-constructed when unset).
+ */
+template <typename W>
+WorkloadEntry
+workloadEntry(
+    std::string name, std::string description,
+    std::vector<Key<typename W::Options>> keys,
+    std::function<void(ParamMap &, double)> scale_defaults,
+    std::function<typename W::Options(const ParamMap &)> start = {})
 {
-    VecAdd::Options opts;
-    opts.n = p.getU64("n", opts.n);
-    opts.threadsPerBlock =
-        p.getUnsigned("threadsPerBlock", opts.threadsPerBlock);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<VecAdd>(opts);
-}
+    using Options = typename W::Options;
+    const auto table =
+        std::make_shared<const std::vector<Key<Options>>>(
+            std::move(keys));
+    auto resolve = [table, start, name](const ParamMap &params) {
+        Options opts = start ? start(params) : Options{};
+        for (const auto &[path, value] : params.entries()) {
+            const auto key = std::find_if(
+                table->begin(), table->end(),
+                [&](const Key<Options> &k) { return k.path == path; });
+            if (key == table->end()) {
+                fatal("workload '", name, "' has no parameter '", path,
+                      "' (see `gpulat list workloads`)");
+            }
+            key->set(opts, value);
+        }
+        return opts;
+    };
 
-std::unique_ptr<Workload>
-makeReduction(const ParamMap &p)
-{
-    Reduction::Options opts;
-    opts.n = p.getU64("n", opts.n);
-    opts.threadsPerBlock =
-        p.getUnsigned("threadsPerBlock", opts.threadsPerBlock);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<Reduction>(opts);
-}
-
-std::unique_ptr<Workload>
-makeStencil(const ParamMap &p)
-{
-    Stencil2D::Options opts;
-    opts.width = p.getUnsigned("width", opts.width);
-    opts.height = p.getUnsigned("height", opts.height);
-    opts.iterations = p.getUnsigned("iterations", opts.iterations);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<Stencil2D>(opts);
-}
-
-std::unique_ptr<Workload>
-makeSpMV(const ParamMap &p)
-{
-    SpMV::Options opts;
-    opts.rows = p.getU64("rows", opts.rows);
-    opts.nnzPerRow = p.getUnsigned("nnzPerRow", opts.nnzPerRow);
-    opts.threadsPerBlock =
-        p.getUnsigned("threadsPerBlock", opts.threadsPerBlock);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<SpMV>(opts);
-}
-
-std::unique_ptr<Workload>
-makeTranspose(const ParamMap &p, bool tiled)
-{
-    Transpose::Options opts;
-    opts.n = p.getUnsigned("n", opts.n);
-    opts.tiled = tiled;
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<Transpose>(opts);
-}
-
-std::unique_ptr<Workload>
-makeHistogram(const ParamMap &p)
-{
-    AtomicHistogram::Options opts;
-    opts.n = p.getU64("n", opts.n);
-    opts.bins = p.getU64("bins", opts.bins);
-    opts.threadsPerBlock =
-        p.getUnsigned("threadsPerBlock", opts.threadsPerBlock);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<AtomicHistogram>(opts);
-}
-
-std::unique_ptr<Workload>
-makeScan(const ParamMap &p)
-{
-    Scan::Options opts;
-    opts.n = p.getU64("n", opts.n);
-    opts.blockElems = p.getUnsigned("blockElems", opts.blockElems);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<Scan>(opts);
-}
-
-std::unique_ptr<Workload>
-makePChase(const ParamMap &p)
-{
-    PChase::Options opts;
-    const std::string space = p.getString("space", "global");
-    if (space == "global") {
-        opts.space = MemSpace::Global;
-    } else if (space == "local") {
-        opts.space = MemSpace::Local;
-    } else {
-        fatal("pchase: space must be global|local, got '", space,
-              "'");
-    }
-    opts.footprintBytes =
-        p.getU64("footprintBytes", opts.footprintBytes);
-    opts.strideBytes = p.getU64("strideBytes", opts.strideBytes);
-    opts.timedAccesses =
-        p.getU64("timedAccesses", opts.timedAccesses);
-    opts.warmup = p.getBool("warmup", opts.warmup);
-    return std::make_unique<PChase>(opts);
-}
-
-std::unique_ptr<Workload>
-makeServe(ServingWorkload::Profile profile, const ParamMap &p)
-{
-    ServingWorkload::Options opts;
-    opts.profile = profile;
-    opts.tenants = p.getUnsigned("tenants", opts.tenants);
-    opts.launches = p.getUnsigned("launches", opts.launches);
-    opts.load = p.getDouble("load", opts.load);
-    opts.buffers = p.getUnsigned("buffers", opts.buffers);
-    opts.thinkCycles = p.getDouble("think", opts.thinkCycles);
-    return std::make_unique<ServingWorkload>(opts);
-}
-
-std::unique_ptr<Workload>
-makeGemm(const ParamMap &p)
-{
-    Gemm::Options opts;
-    opts.n = p.getUnsigned("n", opts.n);
-    opts.seed = p.getU64("seed", opts.seed);
-    return std::make_unique<Gemm>(opts);
+    WorkloadEntry e{std::move(name), std::move(description), {}, {},
+                    {}, std::move(scale_defaults)};
+    for (const Key<Options> &key : *table)
+        e.params.push_back({key.path, key.help});
+    e.make = [resolve](const ParamMap &params)
+        -> std::unique_ptr<Workload> {
+        return std::make_unique<W>(resolve(params));
+    };
+    e.format = [resolve, table](const ParamMap &params) {
+        const Options opts = resolve(params);
+        ParamMap formatted;
+        for (const Key<Options> &key : *table)
+            formatted.set(key.path, key.get(opts));
+        return formatted;
+    };
+    return e;
 }
 
 /**
@@ -199,229 +113,226 @@ buildRegistry()
 {
     WorkloadRegistry reg;
 
-    reg.add({
-        "bfs",
-        "level-synchronized BFS; scattered data-dependent loads",
-        {{"kind", "rmat", "graph kind: rmat|uniform"},
-         {"nodes", "16384", "node count (uniform; implies "
-                            "kind=uniform unless kind given)"},
-         {"scale", "14", "RMAT graphs have 2^scale nodes"},
-         {"degree", "8", "uniform degree / RMAT edge factor"},
-         {"seed", "1", "graph RNG seed"},
-         {"source", "0", "BFS source node"},
-         {"threadsPerBlock", "128", "block size"}},
-        makeBfs,
-        // No kind= here: the factory defaults to rmat, and setting
-        // it would defeat the `nodes=N implies uniform` shorthand
-        // when user params are merged over these defaults.
+    using BfsOpts = Bfs::Options;
+    reg.add(workloadEntry<Bfs>(
+        "bfs", "level-synchronized BFS; scattered data-dependent loads",
+        {param("kind", &BfsOpts::kind, Bfs::kGraphKindSpellings,
+               "graph kind"),
+         param("nodes", &BfsOpts::nodes,
+               "node count (uniform; implies kind=uniform unless kind "
+               "given)"),
+         param("scale", &BfsOpts::scale, "RMAT graphs have 2^scale nodes"),
+         param("degree", &BfsOpts::degree,
+               "uniform degree / RMAT edge factor"),
+         param("seed", &BfsOpts::seed, "graph RNG seed"),
+         param("source", &BfsOpts::source, "BFS source node"),
+         param("threadsPerBlock", &BfsOpts::threadsPerBlock,
+               "block size")},
+        // No kind= here: it would defeat the `nodes=N implies
+        // uniform` shorthand when user params are merged over these
+        // defaults.
         [](ParamMap &m, double scale) {
             m.set("scale", scale >= 0.99 ? "14" : "11");
             m.set("degree", "8");
         },
-    });
+        // `nodes` only applies to uniform graphs, so setting it
+        // without an explicit kind implies uniform (the common CLI
+        // shorthand `--workload bfs nodes=4096`).
+        [](const ParamMap &p) {
+            BfsOpts opts;
+            if (p.has("nodes"))
+                opts.kind = Bfs::GraphKind::Uniform;
+            return opts;
+        }));
 
-    reg.add({
+    using StreamOpts = ComputeStream::Options;
+    reg.add(workloadEntry<ComputeStream>(
         "compute_stream",
         "dependent-FMA stream; compute-bound latency hider",
-        {{"n", "32768", "elements"},
-         {"fmaDepth", "32", "dependent FMAs per element"},
-         {"threadsPerBlock", "256", "block size"},
-         {"seed", "8", "input RNG seed"}},
-        makeComputeStream,
+        {param("n", &StreamOpts::n, "elements"),
+         param("fmaDepth", &StreamOpts::fmaDepth,
+               "dependent FMAs per element"),
+         param("threadsPerBlock", &StreamOpts::threadsPerBlock,
+               "block size"),
+         param("seed", &StreamOpts::seed, "input RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("n",
                   std::to_string(scaledSize(1 << 15, 1 << 12, scale)));
             m.set("fmaDepth", "32");
-        },
-    });
+        }));
 
-    reg.add({
-        "vecadd",
-        "streaming c = a + b; perfectly coalesced bandwidth bound",
-        {{"n", "65536", "elements"},
-         {"threadsPerBlock", "256", "block size"},
-         {"seed", "2", "input RNG seed"}},
-        makeVecAdd,
+    using VecAddOpts = VecAdd::Options;
+    reg.add(workloadEntry<VecAdd>(
+        "vecadd", "streaming c = a + b; perfectly coalesced bandwidth bound",
+        {param("n", &VecAddOpts::n, "elements"),
+         param("threadsPerBlock", &VecAddOpts::threadsPerBlock,
+               "block size"),
+         param("seed", &VecAddOpts::seed, "input RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("n",
                   std::to_string(scaledSize(1 << 16, 1 << 12, scale)));
-        },
-    });
+        }));
 
-    reg.add({
-        "reduction",
-        "tree reduction with shared memory and barriers",
-        {{"n", "65536", "elements (power of two)"},
-         {"threadsPerBlock", "256", "block size (power of two)"},
-         {"seed", "3", "input RNG seed"}},
-        makeReduction,
+    using ReductionOpts = Reduction::Options;
+    reg.add(workloadEntry<Reduction>(
+        "reduction", "tree reduction with shared memory and barriers",
+        {param("n", &ReductionOpts::n, "elements (power of two)"),
+         param("threadsPerBlock", &ReductionOpts::threadsPerBlock,
+               "block size (power of two)"),
+         param("seed", &ReductionOpts::seed, "input RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("n",
                   std::to_string(scaledSize(1 << 16, 1 << 12, scale)));
-        },
-    });
+        }));
 
-    reg.add({
-        "stencil2d",
-        "iterated 5-point stencil; neighbor reuse through caches",
-        {{"width", "256", "row length == threads per block"},
-         {"height", "256", "rows == blocks"},
-         {"iterations", "2", "sweeps"},
-         {"seed", "4", "input RNG seed"}},
-        makeStencil,
+    using StencilOpts = Stencil2D::Options;
+    reg.add(workloadEntry<Stencil2D>(
+        "stencil2d", "iterated 5-point stencil; neighbor reuse through caches",
+        {param("width", &StencilOpts::width,
+               "row length == threads per block"),
+         param("height", &StencilOpts::height, "rows == blocks"),
+         param("iterations", &StencilOpts::iterations, "sweeps"),
+         param("seed", &StencilOpts::seed, "input RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("width", "256");
             m.set("height",
                   std::to_string(scaledSize(256, 32, scale)));
             m.set("iterations", "2");
-        },
-    });
+        }));
 
-    reg.add({
-        "spmv",
-        "CSR sparse matrix-vector product; irregular gathers",
-        {{"rows", "8192", "matrix rows"},
-         {"nnzPerRow", "16", "nonzeros per row"},
-         {"threadsPerBlock", "128", "block size"},
-         {"seed", "5", "matrix RNG seed"}},
-        makeSpMV,
+    using SpMVOpts = SpMV::Options;
+    reg.add(workloadEntry<SpMV>(
+        "spmv", "CSR sparse matrix-vector product; irregular gathers",
+        {param("rows", &SpMVOpts::rows, "matrix rows"),
+         param("nnzPerRow", &SpMVOpts::nnzPerRow, "nonzeros per row"),
+         param("threadsPerBlock", &SpMVOpts::threadsPerBlock,
+               "block size"),
+         param("seed", &SpMVOpts::seed, "matrix RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("rows",
                   std::to_string(scaledSize(1 << 13, 1 << 10, scale)));
             m.set("nnzPerRow", "16");
-        },
-    });
+        }));
 
-    reg.add({
+    using TransposeOpts = Transpose::Options;
+    const auto transpose_keys = [] {
+        return std::vector<Key<TransposeOpts>>{
+            param("n", &TransposeOpts::n,
+                  "matrix dimension (power of two, multiple of 32, "
+                  "<= 1024)"),
+            param("seed", &TransposeOpts::seed, "input RNG seed")};
+    };
+    const auto transpose_scale = [](ParamMap &m, double scale) {
+        m.set("n", scale >= 0.99 ? "256" : "128");
+    };
+    reg.add(workloadEntry<Transpose>(
         "transpose_naive",
         "row-major matrix transpose; uncoalesced column writes",
-        {{"n", "256", "matrix dimension (power of two, multiple "
-                      "of 32, <= 1024)"},
-         {"seed", "6", "input RNG seed"}},
-        [](const ParamMap &p) { return makeTranspose(p, false); },
-        [](ParamMap &m, double scale) {
-            m.set("n", scale >= 0.99 ? "256" : "128");
-        },
-    });
-
-    reg.add({
+        transpose_keys(), transpose_scale));
+    reg.add(workloadEntry<Transpose>(
         "transpose_tiled",
         "shared-memory tiled transpose; coalesced contrast case",
-        {{"n", "256", "matrix dimension (power of two, multiple "
-                      "of 32, <= 1024)"},
-         {"seed", "6", "input RNG seed"}},
-        [](const ParamMap &p) { return makeTranspose(p, true); },
-        [](ParamMap &m, double scale) {
-            m.set("n", scale >= 0.99 ? "256" : "128");
-        },
-    });
+        transpose_keys(), transpose_scale, [](const ParamMap &) {
+            TransposeOpts opts;
+            opts.tiled = true;
+            return opts;
+        }));
 
-    reg.add({
-        "histogram",
-        "global-atomic histogram; contention scales with 1/bins",
-        {{"n", "16384", "input elements"},
-         {"bins", "256", "bins (power of two)"},
-         {"threadsPerBlock", "128", "block size"},
-         {"seed", "9", "input RNG seed"}},
-        makeHistogram,
+    using HistogramOpts = AtomicHistogram::Options;
+    reg.add(workloadEntry<AtomicHistogram>(
+        "histogram", "global-atomic histogram; contention scales with 1/bins",
+        {param("n", &HistogramOpts::n, "input elements"),
+         param("bins", &HistogramOpts::bins, "bins (power of two)"),
+         param("threadsPerBlock", &HistogramOpts::threadsPerBlock,
+               "block size"),
+         param("seed", &HistogramOpts::seed, "input RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("n",
                   std::to_string(scaledSize(1 << 14, 1 << 11, scale)));
             m.set("bins", "256");
-        },
-    });
+        }));
 
-    reg.add({
-        "scan",
-        "two-kernel exclusive prefix scan (block scan + offsets)",
-        {{"n", "16384", "elements"},
-         {"blockElems", "256", "elements per block == block size "
-                               "(power of two)"},
-         {"seed", "11", "input RNG seed"}},
-        makeScan,
+    using ScanOpts = Scan::Options;
+    reg.add(workloadEntry<Scan>(
+        "scan", "two-kernel exclusive prefix scan (block scan + offsets)",
+        {param("n", &ScanOpts::n, "elements"),
+         param("blockElems", &ScanOpts::blockElems,
+               "elements per block == block size (power of two)"),
+         param("seed", &ScanOpts::seed, "input RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("n",
                   std::to_string(scaledSize(1 << 14, 1 << 11, scale)));
-        },
-    });
+        }));
 
-    reg.add({
-        "gemm",
-        "tiled shared-memory GEMM; dense compute, hidden latency",
-        {{"n", "128", "matrix dimension (power of two, multiple "
-                      "of 16)"},
-         {"seed", "10", "input RNG seed"}},
-        makeGemm,
+    using GemmOpts = Gemm::Options;
+    reg.add(workloadEntry<Gemm>(
+        "gemm", "tiled shared-memory GEMM; dense compute, hidden latency",
+        {param("n", &GemmOpts::n,
+               "matrix dimension (power of two, multiple of 16)"),
+         param("seed", &GemmOpts::seed, "input RNG seed")},
         [](ParamMap &m, double scale) {
             m.set("n", scale >= 0.99 ? "128" : "64");
-        },
-    });
+        }));
 
-    reg.add({
-        "pchase",
-        "single-thread pointer chase; idle-latency probe (Table I)",
-        {{"space", "global", "memory space: global|local"},
-         {"footprintBytes", "65536", "chain footprint in bytes"},
-         {"strideBytes", "128", "chain stride (multiple of 8)"},
-         {"timedAccesses", "2048", "dependent loads in the timed "
-                                   "window"},
-         {"warmup", "true", "traverse the chain once before "
-                            "timing"}},
-        makePChase,
+    using ChaseOpts = PChase::Options;
+    reg.add(workloadEntry<PChase>(
+        "pchase", "single-thread pointer chase; idle-latency probe (Table I)",
+        {param("space", &ChaseOpts::space, kChaseSpaceSpellings,
+               "memory space"),
+         param("footprintBytes", &ChaseOpts::footprintBytes,
+               "chain footprint in bytes"),
+         param("strideBytes", &ChaseOpts::strideBytes,
+               "chain stride (multiple of 8)"),
+         param("timedAccesses", &ChaseOpts::timedAccesses,
+               "dependent loads in the timed window"),
+         param("warmup", &ChaseOpts::warmup,
+               "traverse the chain once before timing")},
         [](ParamMap &m, double scale) {
             m.set("timedAccesses", scale >= 0.99 ? "2048" : "256");
-        },
-    });
+        }));
 
     // Multi-tenant serving scenarios (src/serving). Arrival streams
     // and input data derive from the `seed` config override, not a
-    // workload parameter.
-    const std::vector<WorkloadParamSpec> serve_params = {
-        {"tenants", "3", "number of tenants"},
-        {"launches", "12", "launches per tenant"},
-        {"load", "1.0", "arrival-rate multiplier (scales gaps "
-                        "down)"},
-        {"buffers", "3", "rotating output buffers per tenant"},
-    };
-    auto serve_scale = [](ParamMap &m, double scale) {
-        m.set("launches", scale >= 0.99 ? "12" : "3");
-    };
-    reg.add({
-        "serve.mixed",
-        "multi-tenant serving; small/medium/heavy tenants, "
-        "Poisson arrivals",
-        serve_params,
-        [](const ParamMap &p) {
-            return makeServe(ServingWorkload::Profile::Mixed, p);
-        },
-        serve_scale,
-    });
-    reg.add({
-        "serve.uniform",
-        "multi-tenant serving; homogeneous tenants, fixed-rate "
-        "arrivals",
-        serve_params,
-        [](const ParamMap &p) {
-            return makeServe(ServingWorkload::Profile::Uniform, p);
-        },
-        serve_scale,
-    });
-    {
-        auto closed_params = serve_params;
-        closed_params.push_back(
-            {"think", "2000", "completion-to-next-arrival think "
-                              "time (cycles)"});
-        reg.add({
-            "serve.closed",
-            "multi-tenant serving; closed loop, one outstanding "
-            "launch per tenant",
-            closed_params,
-            [](const ParamMap &p) {
-                return makeServe(ServingWorkload::Profile::Closed, p);
+    // workload parameter. Only the closed loop thinks.
+    using ServeOpts = ServingWorkload::Options;
+    const auto serve = [&reg](const char *name, const char *description,
+                              ServingWorkload::Profile profile) {
+        std::vector<Key<ServeOpts>> keys = {
+            param("tenants", &ServeOpts::tenants, "number of tenants"),
+            param("launches", &ServeOpts::launches,
+                  "launches per tenant"),
+            param("load", &ServeOpts::load,
+                  "arrival-rate multiplier (scales gaps down)"),
+            param("buffers", &ServeOpts::buffers,
+                  "rotating output buffers per tenant")};
+        if (profile == ServingWorkload::Profile::Closed) {
+            keys.push_back(param("think", &ServeOpts::thinkCycles,
+                                 "completion-to-next-arrival think "
+                                 "time (cycles)"));
+        }
+        reg.add(workloadEntry<ServingWorkload>(
+            name, description, std::move(keys),
+            [](ParamMap &m, double scale) {
+                m.set("launches", scale >= 0.99 ? "12" : "3");
             },
-            serve_scale,
-        });
-    }
+            [profile](const ParamMap &) {
+                ServeOpts opts;
+                opts.profile = profile;
+                return opts;
+            }));
+    };
+    serve("serve.mixed",
+          "multi-tenant serving; small/medium/heavy tenants, Poisson "
+          "arrivals",
+          ServingWorkload::Profile::Mixed);
+    serve("serve.uniform",
+          "multi-tenant serving; homogeneous tenants, fixed-rate "
+          "arrivals",
+          ServingWorkload::Profile::Uniform);
+    serve("serve.closed",
+          "multi-tenant serving; closed loop, one outstanding launch "
+          "per tenant",
+          ServingWorkload::Profile::Closed);
 
     return reg;
 }
@@ -463,26 +374,22 @@ WorkloadRegistry::find(const std::string &name) const
     return nullptr;
 }
 
+const WorkloadEntry &
+WorkloadRegistry::entry(const std::string &name) const
+{
+    if (const WorkloadEntry *e = find(name))
+        return *e;
+    std::string known;
+    for (const auto &n : names())
+        known += (known.empty() ? "" : ", ") + n;
+    fatal("unknown workload '", name, "' (known: ", known, ")");
+}
+
 std::unique_ptr<Workload>
 WorkloadRegistry::create(const std::string &name,
                          const ParamMap &params) const
 {
-    const WorkloadEntry *entry = find(name);
-    if (!entry) {
-        std::string known;
-        for (const auto &n : names())
-            known += (known.empty() ? "" : ", ") + n;
-        fatal("unknown workload '", name, "' (known: ", known, ")");
-    }
-    auto workload = entry->make(params);
-    const auto unknown = params.unconsumedKeys();
-    if (!unknown.empty()) {
-        std::string list;
-        for (const auto &k : unknown)
-            list += (list.empty() ? "" : ", ") + k;
-        fatal("workload '", name, "': unknown parameter(s): ", list);
-    }
-    return workload;
+    return entry(name).make(params);
 }
 
 std::unique_ptr<Workload>
@@ -497,14 +404,19 @@ ParamMap
 WorkloadRegistry::scaledParams(const std::string &name,
                                double scale) const
 {
-    const WorkloadEntry *entry = find(name);
-    if (!entry)
-        fatal("unknown workload '", name, "'");
-    scale = std::clamp(scale, 0.01, 1.0);
     ParamMap map;
-    if (entry->scaleDefaults)
-        entry->scaleDefaults(map, scale);
+    entry(name).scaleDefaults(map, std::clamp(scale, 0.01, 1.0));
     return map;
+}
+
+ParamMap
+WorkloadRegistry::listedDefaults(const std::string &name) const
+{
+    ParamMap listed = entry(name).format(ParamMap{});
+    const ParamMap bench = scaledParams(name, 1.0);
+    for (const auto &[key, value] : bench.entries())
+        listed.set(key, value);
+    return listed;
 }
 
 } // namespace gpulat

@@ -1,11 +1,11 @@
 /**
  * @file
- * String-named workload factories with typed parameter maps: the
- * front door every experiment driver (the `gpulat` CLI, perfbench,
- * sweeps) uses to construct workloads. A workload is addressed as
- * `name` + `key=value` parameters ("bfs", nodes=4096) instead of a
- * per-class Options struct, so new experiment matrix cells are data,
- * not code.
+ * String-named workloads whose parameters are keys: how the `gpulat`
+ * CLI, perfbench and sweeps construct every workload. A workload is
+ * addressed as `name` + `key=value` parameters ("bfs", nodes=4096);
+ * each parameter is declared once, as a key over the workload's
+ * Options struct (api/key.hh), so it parses, lists and fails like a
+ * `--set` key.
  */
 
 #ifndef GPULAT_API_WORKLOAD_REGISTRY_HH
@@ -21,29 +21,37 @@
 
 namespace gpulat {
 
-/** One documented parameter of a registered workload. */
+/** One parameter of a registered workload, as `gpulat list` shows
+ *  it. */
 struct WorkloadParamSpec
 {
     std::string name;
-    std::string defaultValue; ///< at bench scale (1.0)
     std::string help;
 };
 
-/** One registered workload factory. */
+/** One registered workload. */
 struct WorkloadEntry
 {
     std::string name;
     std::string description;
+    /** Every parameter the workload declares, in listing order. */
     std::vector<WorkloadParamSpec> params;
 
-    /** Build an instance from user parameters (defaults filled by
-     *  the factory; unknown keys are rejected by create()). */
+    /**
+     * Build an instance: each assignment goes through its key onto
+     * the default Options. fatal() on a key the workload does not
+     * declare or a malformed value.
+     */
     std::function<std::unique_ptr<Workload>(const ParamMap &)> make;
 
+    /** The Options make() would build from the assignments, every
+     *  key formatted the way it parses. */
+    std::function<ParamMap(const ParamMap &)> format;
+
     /**
-     * Fill @p map with the bench-sized defaults shrunk by @p scale
-     * in [0, 1] (`gpulat run --scale`, quick test runs). Only sets
-     * keys that differ from the factory defaults.
+     * Fill @p map with the bench-sized values shrunk by @p scale in
+     * [0, 1] (`gpulat run --scale`, quick test runs). Keys it does
+     * not set keep their Options default.
      */
     std::function<void(ParamMap &map, double scale)> scaleDefaults;
 };
@@ -76,9 +84,19 @@ class WorkloadRegistry
     /** The defaults for @p name at @p scale, as a parameter map. */
     ParamMap scaledParams(const std::string &name, double scale) const;
 
+    /**
+     * The default `gpulat list` prints for each parameter of
+     * @p name: the value scaleDefaults sets at scale 1, or else the
+     * formatted Options default.
+     */
+    ParamMap listedDefaults(const std::string &name) const;
+
     void add(WorkloadEntry entry);
 
   private:
+    /** Entry by name; fatal() naming the known ones if unknown. */
+    const WorkloadEntry &entry(const std::string &name) const;
+
     std::vector<WorkloadEntry> entries_;
 };
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spelling.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -28,6 +29,12 @@ enum class WritePolicy : std::uint8_t {
     WriteThrough,
     /** Write-back, write-allocate-on-fill (GPU L2 style). */
     WriteBack,
+};
+
+/** `sm.l1Cache.write` / `partition.l2Cache.write` spellings. */
+inline constexpr Spelling<WritePolicy> kWritePolicySpellings[] = {
+    {"writethrough", WritePolicy::WriteThrough},
+    {"writeback", WritePolicy::WriteBack},
 };
 
 /** Geometry + write policy of one cache (replacement is LRU). */

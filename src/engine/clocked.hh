@@ -34,6 +34,7 @@
 #ifndef GPULAT_ENGINE_CLOCKED_HH
 #define GPULAT_ENGINE_CLOCKED_HH
 
+#include "common/spelling.hh"
 #include "common/types.hh"
 
 namespace gpulat {
@@ -74,6 +75,24 @@ enum class IdleFastForward
 {
     Off,
     PerDomain,
+};
+
+/**
+ * `idleFastForward` spellings. The legacy forms keep old sweeps
+ * working: booleans predate the enum, and `full` (an all-idle-only
+ * skip) gave the same cycles as perDomain, which replaced it.
+ */
+inline constexpr Spelling<IdleFastForward> kIdleFastForwardSpellings[] = {
+    {"off", IdleFastForward::Off},
+    {"perDomain", IdleFastForward::PerDomain},
+    {"0", IdleFastForward::Off},
+    {"false", IdleFastForward::Off},
+    {"perdomain", IdleFastForward::PerDomain},
+    {"per-domain", IdleFastForward::PerDomain},
+    {"full", IdleFastForward::PerDomain},
+    {"on", IdleFastForward::PerDomain},
+    {"1", IdleFastForward::PerDomain},
+    {"true", IdleFastForward::PerDomain},
 };
 
 /** A component the TickEngine advances. */

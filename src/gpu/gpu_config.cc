@@ -286,8 +286,12 @@ GpuConfig::validate() const
         if (value == 0)
             reject(key, " must be > 0");
 
-    // Counts that size host arrays when a Gpu is built.
+    // Counts that size host arrays when a Gpu is built, and cycle
+    // counts: latencies are added to the current cycle and to each
+    // other (the L2 hit pipe holds l2QueueSize + l2HitLatency), so
+    // above 2^32-1 those sums can wrap.
     constexpr std::uint64_t kMaxCacheBytes = 64ull << 20;
+    constexpr std::uint64_t kMaxCycles = 0xffffffffu;
     const std::tuple<const char *, std::uint64_t, std::uint64_t>
         bounded[] = {
             {"numSms", numSms, 1024},
@@ -303,6 +307,44 @@ GpuConfig::validate() const
              kMaxCacheBytes},
             {"partition.l2Cache.capacityBytes",
              partition.l2Cache.capacityBytes, kMaxCacheBytes},
+            {"partition.l2QueueSize", partition.l2QueueSize, kMaxCycles},
+            {"icntLatency", icntLatency, kMaxCycles},
+            {"sm.aluLatency", sm.aluLatency, kMaxCycles},
+            {"sm.fpLatency", sm.fpLatency, kMaxCycles},
+            {"sm.smemLatency", sm.smemLatency, kMaxCycles},
+            {"sm.smemConflictPenalty", sm.smemConflictPenalty,
+             kMaxCycles},
+            {"sm.smBaseLatency", sm.smBaseLatency, kMaxCycles},
+            {"sm.l1HitLatency", sm.l1HitLatency, kMaxCycles},
+            {"sm.l1MissLatency", sm.l1MissLatency, kMaxCycles},
+            {"partition.ropLatency", partition.ropLatency, kMaxCycles},
+            {"partition.l2QueueLatency", partition.l2QueueLatency,
+             kMaxCycles},
+            {"partition.l2HitLatency", partition.l2HitLatency,
+             kMaxCycles},
+            {"partition.l2MissLatency", partition.l2MissLatency,
+             kMaxCycles},
+            {"partition.dramCmdInterval", partition.dramCmdInterval,
+             kMaxCycles},
+            {"partition.returnQueueLatency",
+             partition.returnQueueLatency, kMaxCycles},
+            {"mem.dram.starveLimit", partition.dramStarvationLimit,
+             kMaxCycles},
+            {"partition.dram.timing.tRCD", dram.timing.tRCD, kMaxCycles},
+            {"partition.dram.timing.tRP", dram.timing.tRP, kMaxCycles},
+            {"partition.dram.timing.tCAS", dram.timing.tCAS, kMaxCycles},
+            {"partition.dram.timing.tBurst", dram.timing.tBurst,
+             kMaxCycles},
+            {"partition.dram.timing.tExtra", dram.timing.tExtra,
+             kMaxCycles},
+            {"mem.dram.tRAS", dram.ddr.tRAS, kMaxCycles},
+            {"mem.dram.tRRDS", dram.ddr.tRRDS, kMaxCycles},
+            {"mem.dram.tRRDL", dram.ddr.tRRDL, kMaxCycles},
+            {"mem.dram.tFAW", dram.ddr.tFAW, kMaxCycles},
+            {"mem.dram.tWTR", dram.ddr.tWTR, kMaxCycles},
+            {"mem.dram.tRTW", dram.ddr.tRTW, kMaxCycles},
+            {"mem.dram.tREFI", dram.ddr.tREFI, kMaxCycles},
+            {"mem.dram.tRFC", dram.ddr.tRFC, kMaxCycles},
         };
     for (const auto &[key, value, max] : bounded)
         if (value > max)

@@ -33,12 +33,26 @@ enum class ServePolicy : std::uint8_t
     FairShare, ///< least attained weighted service first
 };
 
+/** `serving.policy` spellings. */
+inline constexpr Spelling<ServePolicy> kServePolicySpellings[] = {
+    {"fifo", ServePolicy::Fifo},
+    {"rr", ServePolicy::Rr},
+    {"sjf-est", ServePolicy::SjfEst},
+    {"fair-share", ServePolicy::FairShare},
+};
+
 /** How the serving layer carves SMs for concurrent launches.
  *  Dotted override key `serving.partition`. */
 enum class ServePartition : std::uint8_t
 {
     Static,  ///< MPS-style fixed per-tenant SM shares
     Dynamic, ///< best-effort: grab free SMs at admission
+};
+
+/** `serving.partition` spellings. */
+inline constexpr Spelling<ServePartition> kServePartitionSpellings[] = {
+    {"static", ServePartition::Static},
+    {"dynamic", ServePartition::Dynamic},
 };
 
 struct GpuConfig

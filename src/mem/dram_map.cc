@@ -4,27 +4,6 @@
 
 namespace gpulat {
 
-const char *
-toString(DramAddrMap map)
-{
-    switch (map) {
-      case DramAddrMap::Row: return "row";
-      case DramAddrMap::BankGroup: return "bg";
-      case DramAddrMap::Xor: return "xor";
-    }
-    return "?";
-}
-
-const char *
-toString(DramPagePolicy page)
-{
-    switch (page) {
-      case DramPagePolicy::Open: return "open";
-      case DramPagePolicy::Closed: return "closed";
-    }
-    return "?";
-}
-
 DramCoord
 mapDramAddress(const DramGeometry &geom, Addr line_addr)
 {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "common/spelling.hh"
 #include "common/types.hh"
 
 namespace gpulat {
@@ -36,8 +37,30 @@ enum class DramPagePolicy : std::uint8_t {
     Closed, ///< auto-precharge after every access
 };
 
-const char *toString(DramAddrMap map);
-const char *toString(DramPagePolicy page);
+/** `mem.dram.map` spellings. */
+inline constexpr Spelling<DramAddrMap> kDramAddrMapSpellings[] = {
+    {"row", DramAddrMap::Row},
+    {"bg", DramAddrMap::BankGroup},
+    {"xor", DramAddrMap::Xor},
+};
+
+/** `mem.dram.pagePolicy` spellings. */
+inline constexpr Spelling<DramPagePolicy> kDramPagePolicySpellings[] = {
+    {"open", DramPagePolicy::Open},
+    {"closed", DramPagePolicy::Closed},
+};
+
+inline const char *
+toString(DramAddrMap map)
+{
+    return spell(kDramAddrMapSpellings, map);
+}
+
+inline const char *
+toString(DramPagePolicy page)
+{
+    return spell(kDramPagePolicySpellings, page);
+}
 
 /** Everything the mapper needs to know about the channel shape. */
 struct DramGeometry

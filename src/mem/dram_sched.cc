@@ -4,16 +4,6 @@
 
 namespace gpulat {
 
-const char *
-toString(DramSchedPolicy policy)
-{
-    switch (policy) {
-      case DramSchedPolicy::FCFS: return "FCFS";
-      case DramSchedPolicy::FRFCFS: return "FR-FCFS";
-    }
-    return "?";
-}
-
 std::optional<std::size_t>
 pickDramRequest(DramSchedPolicy policy,
                 const std::deque<DramQueueEntry> &queue,

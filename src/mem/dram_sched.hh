@@ -17,6 +17,7 @@
 #include <deque>
 #include <optional>
 
+#include "common/spelling.hh"
 #include "mem/dram.hh"
 #include "mem/request.hh"
 
@@ -25,7 +26,11 @@ namespace gpulat {
 /** Available scheduling policies. */
 enum class DramSchedPolicy : std::uint8_t { FCFS, FRFCFS };
 
-const char *toString(DramSchedPolicy policy);
+/** `partition.sched` spellings. */
+inline constexpr Spelling<DramSchedPolicy> kDramSchedPolicySpellings[] = {
+    {"fcfs", DramSchedPolicy::FCFS},
+    {"frfcfs", DramSchedPolicy::FRFCFS},
+};
 
 /** A queued DRAM request and where it lands in the channel, mapped
  *  once on entry so the scheduler's per-tick scan maps nothing. */

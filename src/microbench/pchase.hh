@@ -11,10 +11,17 @@
 
 #include <cstdint>
 
+#include "common/spelling.hh"
 #include "gpu/gpu.hh"
 #include "isa/kernel.hh"
 
 namespace gpulat {
+
+/** The spaces a chase runs in, as `pchase space=` spells them. */
+inline constexpr Spelling<MemSpace> kChaseSpaceSpellings[] = {
+    {"global", MemSpace::Global},
+    {"local", MemSpace::Local},
+};
 
 /** Parameters of one pointer-chase measurement. */
 struct PChaseConfig

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/spelling.hh"
 #include "common/types.hh"
 
 namespace gpulat {
@@ -18,7 +19,11 @@ namespace gpulat {
 /** Warp scheduling policies. */
 enum class SchedPolicy : std::uint8_t { LRR, GTO };
 
-const char *toString(SchedPolicy policy);
+/** `sm.schedPolicy` spellings. */
+inline constexpr Spelling<SchedPolicy> kSchedPolicySpellings[] = {
+    {"lrr", SchedPolicy::LRR},
+    {"gto", SchedPolicy::GTO},
+};
 
 /**
  * Picks which of its warps issues next. The scheduler only orders

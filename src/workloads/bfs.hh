@@ -11,6 +11,7 @@
 #ifndef GPULAT_WORKLOADS_BFS_HH
 #define GPULAT_WORKLOADS_BFS_HH
 
+#include "common/spelling.hh"
 #include "workloads/graph.hh"
 #include "workloads/workload.hh"
 
@@ -20,6 +21,12 @@ class Bfs : public Workload
 {
   public:
     enum class GraphKind { Uniform, Rmat };
+
+    /** `kind` spellings. */
+    static constexpr Spelling<GraphKind> kGraphKindSpellings[] = {
+        {"rmat", GraphKind::Rmat},
+        {"uniform", GraphKind::Uniform},
+    };
 
     struct Options
     {

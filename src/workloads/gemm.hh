@@ -19,7 +19,7 @@ class Gemm : public Workload
     struct Options
     {
         /** Matrix dimension; power of two, multiple of 16. */
-        unsigned n = 64;
+        unsigned n = 128;
         std::uint64_t seed = 10;
     };
 

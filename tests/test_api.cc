@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the experiment API front-end: ParamMap parsing, the
- * config-override layer (round-trips, ClockRatio, error paths),
- * the workload registry, sweep expansion, sinks, and a golden
+ * Tests for the experiment API front-end: workload parameters and
+ * config overrides (one grammar, round-trips, ClockRatio, error
+ * paths), the workload registry, sweep expansion, sinks, and a golden
  * check that the `gpulat` CLI reports bit-identical cycles to the
  * same run driven through the direct C++ API.
  */
@@ -33,75 +33,169 @@
 namespace gpulat {
 namespace {
 
-// ------------------------------------------------------------ ParamMap
+// ------------------------------------------------- workload parameters
 
-TEST(ParamMap, ParsesTypedValues)
+/** The error of creating @p workload from @p assignments, or
+ *  "accepted". */
+std::string
+createError(const std::string &workload,
+            const std::vector<std::string> &assignments)
 {
-    const ParamMap map =
-        ParamMap::parse({"n=4096", "alpha=0.5", "deep=true",
-                         "name=bfs"});
-    EXPECT_EQ(map.getU64("n", 0), 4096u);
-    EXPECT_DOUBLE_EQ(map.getDouble("alpha", 0.0), 0.5);
-    EXPECT_TRUE(map.getBool("deep", false));
-    EXPECT_EQ(map.getString("name", ""), "bfs");
-    EXPECT_EQ(map.getU64("absent", 7), 7u);
-    EXPECT_TRUE(map.unconsumedKeys().empty());
+    try {
+        (void)WorkloadRegistry::instance().create(workload, assignments);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "accepted";
 }
 
-TEST(ParamMap, TracksUnconsumedKeys)
+/** The value @p workload's key reads from `key=text`, formatted. */
+std::string
+readParam(const std::string &workload, const std::string &key,
+          const std::string &text)
 {
-    const ParamMap map = ParamMap::parse({"n=1", "typo=2"});
-    (void)map.getU64("n", 0);
-    const auto unconsumed = map.unconsumedKeys();
-    ASSERT_EQ(unconsumed.size(), 1u);
-    EXPECT_EQ(unconsumed[0], "typo");
+    const WorkloadEntry *entry = WorkloadRegistry::instance().find(workload);
+    return entry->format(ParamMap::parse({key + "=" + text}))
+        .entries()
+        .at(key);
 }
 
-TEST(ParamMap, RejectsMalformedInput)
+TEST(WorkloadParams, ParseThroughTheirKeys)
+{
+    // One key of each type: a 64-bit integer, a real, a boolean and
+    // an enum; a key left out keeps its Options default.
+    EXPECT_EQ(createError("vecadd", {"n=4096"}), "accepted");
+    EXPECT_EQ(readParam("vecadd", "n", "4096"), "4096");
+    EXPECT_EQ(readParam("serve.mixed", "load", "0.5"), "0.5");
+    EXPECT_EQ(readParam("pchase", "warmup", "false"), "false");
+    EXPECT_EQ(readParam("bfs", "kind", "uniform"), "uniform");
+    const WorkloadEntry *vecadd = WorkloadRegistry::instance().find("vecadd");
+    EXPECT_EQ(vecadd->format(ParamMap::parse({"n=4096"})).entries().at(
+                  "seed"),
+              std::to_string(VecAdd::Options{}.seed));
+}
+
+TEST(WorkloadParams, UnknownKeyNamesTheWorkloadAndTheKey)
+{
+    const std::string what = createError("vecadd", {"n=1", "typo=2"});
+    EXPECT_NE(what.find("vecadd"), std::string::npos) << what;
+    EXPECT_NE(what.find("'typo'"), std::string::npos) << what;
+}
+
+TEST(WorkloadParams, RejectsMalformedInput)
 {
     EXPECT_THROW(ParamMap::parse({"novalue"}), FatalError);
     EXPECT_THROW(ParamMap::parse({"=x"}), FatalError);
-    const ParamMap map = ParamMap::parse({"n=abc", "b=maybe"});
-    EXPECT_THROW((void)map.getU64("n", 0), FatalError);
-    EXPECT_THROW((void)map.getBool("b", false), FatalError);
+    EXPECT_NE(createError("vecadd", {"n=abc"}).find("n:"),
+              std::string::npos);
+    EXPECT_NE(createError("pchase", {"warmup=maybe"}).find("warmup"),
+              std::string::npos);
 }
 
-TEST(ParamMap, RejectsNegativeIntegers)
+TEST(WorkloadParams, RejectsNegativeIntegers)
 {
     // strtoull would happily wrap "-1" to 2^64-1.
-    const ParamMap map = ParamMap::parse({"n=-1"});
-    EXPECT_THROW((void)map.getU64("n", 0), FatalError);
+    EXPECT_NE(createError("vecadd", {"n=-1"}).find("n:"),
+              std::string::npos);
 }
 
-TEST(ParamMap, IntegersAreDecimalAndFitTheirField)
+TEST(WorkloadParams, IntegersAreDecimalAndFitTheirField)
 {
-    const ParamMap map = ParamMap::parse(
-        {"octal=010", "hex=0x10", "plus=+5", "space= 5",
-         "wide=4294967328", "max=18446744073709551615",
-         "over=18446744073709551616"});
     // A leading 0 is decimal, not octal.
-    EXPECT_EQ(map.getU64("octal", 0), 10u);
-    EXPECT_THROW((void)map.getU64("hex", 0), FatalError);
-    EXPECT_THROW((void)map.getU64("plus", 0), FatalError);
-    EXPECT_THROW((void)map.getU64("space", 0), FatalError);
+    EXPECT_EQ(createError("vecadd", {"seed=010"}), "accepted");
+    EXPECT_EQ(readParam("vecadd", "seed", "010"), "10");
+    for (const char *bad : {"0x10", "+5", " 5", "-1"}) {
+        EXPECT_NE(createError("vecadd", {std::string("seed=") + bad})
+                      .find("seed:"),
+                  std::string::npos)
+            << bad;
+    }
     // vecadd threadsPerBlock=4294967328 used to run 32-thread blocks.
-    EXPECT_EQ(map.getU64("wide", 0), 4294967328u);
-    EXPECT_THROW((void)map.getUnsigned("wide", 0), FatalError);
-    EXPECT_EQ(map.getU64("max", 0),
-              std::numeric_limits<std::uint64_t>::max());
-    EXPECT_THROW((void)map.getU64("over", 0), FatalError);
+    EXPECT_NE(createError("vecadd", {"threadsPerBlock=4294967328"})
+                  .find("threadsPerBlock:"),
+              std::string::npos);
+    EXPECT_EQ(createError("vecadd", {"seed=4294967328"}), "accepted");
+    EXPECT_EQ(readParam("vecadd", "seed", "4294967328"), "4294967328");
+    EXPECT_EQ(readParam("vecadd", "seed", "18446744073709551615"),
+              "18446744073709551615");
+    EXPECT_NE(createError("vecadd", {"seed=18446744073709551616"})
+                  .find("seed:"),
+              std::string::npos);
 }
 
-TEST(ParamMap, RealsAreFinite)
+TEST(WorkloadParams, RealsAreFinite)
 {
-    const ParamMap map = ParamMap::parse(
-        {"nan=nan", "inf=inf", "huge=1e999", "sci=2.5e3", "neg=-0.5"});
     // serve.mixed load=nan used to run.
-    EXPECT_THROW((void)map.getDouble("nan", 1.0), FatalError);
-    EXPECT_THROW((void)map.getDouble("inf", 1.0), FatalError);
-    EXPECT_THROW((void)map.getDouble("huge", 1.0), FatalError);
-    EXPECT_DOUBLE_EQ(map.getDouble("sci", 0.0), 2500.0);
-    EXPECT_DOUBLE_EQ(map.getDouble("neg", 0.0), -0.5);
+    for (const char *bad : {"nan", "inf", "1e999"}) {
+        EXPECT_NE(createError("serve.mixed", {std::string("load=") + bad})
+                      .find("load:"),
+                  std::string::npos)
+            << bad;
+    }
+    EXPECT_EQ(createError("serve.mixed", {"load=2.5e3"}), "accepted");
+    EXPECT_EQ(readParam("serve.mixed", "load", "2.5e3"), "2500");
+    EXPECT_EQ(createError("serve.mixed", {"load=-0.5"}), "accepted");
+    EXPECT_EQ(readParam("serve.mixed", "load", "-0.5"), "-0.5");
+}
+
+TEST(WorkloadParams, OneGrammarOnBothSurfaces)
+{
+    // A `--set` key and a workload parameter of the same type accept
+    // exactly the same spellings.
+    auto accepts_set = [](const std::string &assignment) {
+        GpuConfig cfg = makeConfig("gf106");
+        try {
+            applyOverride(cfg, assignment);
+        } catch (const FatalError &) {
+            return false;
+        }
+        return true;
+    };
+    auto accepts_param = [](const std::string &workload,
+                            const std::string &assignment) {
+        return createError(workload, {assignment}) == "accepted";
+    };
+    for (const char *x : {"1", "true", "on", "0", "false", "off", "yes",
+                          "no", "maybe", ""}) {
+        const std::string v = x;
+        EXPECT_EQ(accepts_set("sm.l1Enabled=" + v),
+                  accepts_param("pchase", "warmup=" + v))
+            << "'" << v << "'";
+    }
+    for (const char *x : {"16", "010", "0x10", "+5", "-1", "4294967295",
+                          "4294967296", "nan"}) {
+        const std::string v = x;
+        EXPECT_EQ(accepts_set("sm.warpSlots=" + v),
+                  accepts_param("vecadd", "threadsPerBlock=" + v))
+            << "'" << v << "'";
+    }
+    // No `--set` key is a real; the CLI's one real flag, --scale,
+    // reads reals through the same parser.
+    for (const char *x : {"0.5", "2.5e3", "-0.5", "nan", "inf",
+                          "1e999"}) {
+        const std::string v = x;
+        std::ostringstream out;
+        std::ostringstream err;
+        const char *argv[] = {"gpulat", "run",   "--no-table",
+                              "--gpu",  "gf106", "--workload",
+                              "vecadd", "n=256", "--scale",
+                              x};
+        const bool cli_accepts = runCli(10, argv, out, err) == 0;
+        EXPECT_EQ(cli_accepts, accepts_param("serve.mixed", "load=" + v))
+            << "'" << v << "'";
+    }
+}
+
+TEST(WorkloadParams, OnlyTheClosedLoopThinks)
+{
+    // `think` used to be accepted, recorded and ignored by the open
+    // loops.
+    for (const char *open : {"serve.mixed", "serve.uniform"}) {
+        const std::string what = createError(open, {"think=5"});
+        EXPECT_NE(what.find(open), std::string::npos) << what;
+        EXPECT_NE(what.find("'think'"), std::string::npos) << what;
+    }
+    EXPECT_EQ(createError("serve.closed", {"think=5"}), "accepted");
 }
 
 // ----------------------------------------------------- config overrides
@@ -374,6 +468,24 @@ TEST(WorkloadRegistry, RejectsUnknownNamesAndParams)
     EXPECT_THROW(
         reg.create("vecadd", ParamMap::parse({"ndoes=4096"})),
         FatalError);
+}
+
+TEST(WorkloadRegistry, EveryListedDefaultRoundTrips)
+{
+    // `gpulat list` prints one default per declared key, and each
+    // printed default parses through its key and formats back to
+    // the same text.
+    const WorkloadRegistry &reg = WorkloadRegistry::instance();
+    for (const std::string &name : reg.names()) {
+        const WorkloadEntry *entry = reg.find(name);
+        const ParamMap listed = reg.listedDefaults(name);
+        ASSERT_EQ(listed.entries().size(), entry->params.size()) << name;
+        for (const WorkloadParamSpec &p : entry->params) {
+            const std::string &text = listed.entries().at(p.name);
+            EXPECT_EQ(readParam(name, p.name, text), text)
+                << name << ": " << p.name;
+        }
+    }
 }
 
 TEST(WorkloadRegistry, BfsNodesImpliesUniform)

@@ -87,8 +87,9 @@ skipped(const std::string &path)
 /**
  * The hostile values for a key of type @p type: zero, one, a
  * non-power of two, 2^32-1 (4096 for cycle counts, so valid runs
- * stay short), a negative, junk and nothing; plus the spellings an
- * enumeration lists ("lrr|gto") and a few ratios.
+ * stay short, plus 2^64-1, above their bound), a negative, junk and
+ * nothing; plus the spellings an enumeration lists ("lrr|gto") and a
+ * few ratios.
  */
 std::vector<std::string>
 hostilePool(const std::string &type)
@@ -96,6 +97,8 @@ hostilePool(const std::string &type)
     const bool cycles = type.rfind("cycles", 0) == 0;
     std::vector<std::string> pool = {
         "0", "1", "3", cycles ? "4096" : "4294967295", "-1", "x", ""};
+    if (cycles)
+        pool.push_back("18446744073709551615");
     if (type.rfind("ratio", 0) == 0)
         pool.insert(pool.end(), {"1/2", "3:2", "65/1", "1/0"});
     const std::string head = type.substr(0, type.find(' '));

@@ -301,6 +301,17 @@ TEST(Validation, EveryBadInputExitsTwoByName)
         set("mem.mshr.banks=4294967295"),
         set("sm.l1Cache.capacityBytes=1099511627776"),
         set("partition.l2Cache.capacityBytes=1099511627776"),
+        // Cycle counts whose sums wrapped: the first panicked on the
+        // L2 hit pipe's capacity, the second ran as if ropLatency=0.
+        cell("gf106", "vecadd",
+             {"n=256", "--set",
+              "partition.l2QueueSize=18446744073709551615", "--set",
+              "partition.l2HitLatency=1"},
+             "partition.l2QueueSize"),
+        cell("gf106", "vecadd",
+             {"n=256", "--set",
+              "partition.ropLatency=18446744073709551615"},
+             "partition.ropLatency"),
         // One decimal, range-checked number parser.
         set("seed=99999999999999999999"),
         set("dramClock=4294967297/1"),
@@ -310,6 +321,16 @@ TEST(Validation, EveryBadInputExitsTwoByName)
              "threadsPerBlock"),
         cell("gf106", "serve.mixed", {"load=nan"}, "load"),
         cell("gf106", "vecadd", {"n=4096", "--scale", "nan"}, "--scale"),
+        // Report flags: --buckets 0 panicked, --report fig9 printed
+        // a bare header and exited 0.
+        cell("gf106", "vecadd", {"n=256", "--report", "fig9"},
+             "--report"),
+        cell("gf106", "vecadd", {"n=256", "--report", "fig1", "--buckets",
+                                 "0"},
+             "--buckets"),
+        cell("gf106", "vecadd", {"n=256", "--report", "fig1", "--buckets",
+                                 "100000000"},
+             "--buckets"),
         // Launches that could never dispatch.
         set("sm.regsPerSm=0"),
         set("sm.regsPerSm=64"),
@@ -347,6 +368,11 @@ TEST(Validation, EveryBadInputExitsTwoByName)
         cell("gf106", "serve.closed", {"think=-5"}, "think"),
         cell("gf106", "serve.mixed", {"load=0"}, "load"),
         cell("gf106", "serve.mixed", {"buffers=0"}, "buffers"),
+        // One grammar: workload keys fail like `--set` keys.
+        cell("gf106", "pchase", {"warmup=maybe"}, "warmup"),
+        cell("gf106", "pchase", {"warmup=yes"}, "warmup"),
+        cell("gf106", "serve.mixed", {"think=5"}, "think"),
+        cell("gf106", "vecadd", {"n=256", "ndoes=5"}, "ndoes"),
     };
     for (const Case &c : cases) {
         std::string what;
@@ -376,6 +402,38 @@ TEST(Validation, EveryBadInputExitsTwoByName)
                        "partition.returnQueueSize=32"),
               std::string::npos)
         << err;
+}
+
+TEST(Validation, CycleCountsStopAtTwoToTheThirtyTwo)
+{
+    // Every `cycles` key, and the L2 queue whose size is added to
+    // the L2 hit latency, takes 2^32-1 and refuses 2^32 by name,
+    // stating the bound.
+    std::vector<std::string> keys = {"partition.l2QueueSize"};
+    for (const ConfigKey &key : configKeys()) {
+        if (key.type.rfind("cycles", 0) == 0)
+            keys.push_back(key.path);
+    }
+    ASSERT_EQ(keys.size(), 29u);
+    auto errors_naming = [](const std::string &key,
+                            const std::string &value) {
+        GpuConfig cfg = makeGF106();
+        applyOverride(cfg, key + "=" + value);
+        std::vector<std::string> named;
+        for (const std::string &error : cfg.validate()) {
+            if (error.rfind(key, 0) == 0)
+                named.push_back(error);
+        }
+        return named;
+    };
+    for (const std::string &key : keys) {
+        EXPECT_TRUE(errors_naming(key, "4294967295").empty()) << key;
+        const auto named = errors_naming(key, "4294967296");
+        ASSERT_EQ(named.size(), 1u) << key;
+        EXPECT_NE(named[0].find("maximum of 4294967295"),
+                  std::string::npos)
+            << named[0];
+    }
 }
 
 TEST(Validation, EveryViolationIsReportedAtOnce)

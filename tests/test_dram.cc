@@ -806,7 +806,8 @@ TEST(DramSchedProperty, MatchesReferencePicker)
                         ASSERT_EQ(pick, referencePickDramRequest(
                                             policy, ref_q, addr_ch, now,
                                             limit))
-                            << toString(policy) << " limit " << limit
+                            << spell(kDramSchedPolicySpellings, policy)
+                            << " limit " << limit
                             << " map " << toString(map) << " ranks "
                             << ranks << " cycle " << now;
                         if (!pick)

@@ -50,7 +50,8 @@ TEST(SmBehavior, BothSchedulerPoliciesProduceCorrectResults)
         for (std::uint64_t i = 0; i < 512; ++i) {
             std::uint64_t v = 0;
             gpu.copyFromDevice(&v, buf + i * 8, 8);
-            EXPECT_EQ(v, 1u) << toString(policy) << " thread " << i;
+            EXPECT_EQ(v, 1u) << spell(kSchedPolicySpellings, policy)
+                             << " thread " << i;
         }
     }
 }
