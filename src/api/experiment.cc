@@ -80,18 +80,18 @@ collectRecord(Gpu &gpu, const ExperimentSpec &spec,
     rec.tickJobs = gpu.engine().tickJobs();
 
     rec.correct = result.correct;
-    rec.cycles = result.cycles;
-    rec.instructions = result.instructions;
-    rec.launches = result.launches;
+    rec.cycles = gpu.now();
+    rec.instructions = gpu.issuedInstructions();
+    rec.launches = gpu.launchCount();
 
     // Workload-specific headline metrics ride along verbatim (the
     // workload owns their naming; see WorkloadResult::metrics).
     for (const auto &[name, value] : result.metrics)
         rec.metrics[name] = value;
 
-    rec.metrics["ipc"] = result.cycles
-        ? static_cast<double>(result.instructions) /
-              static_cast<double>(result.cycles)
+    rec.metrics["ipc"] = rec.cycles
+        ? static_cast<double>(rec.instructions) /
+              static_cast<double>(rec.cycles)
         : 0.0;
 
     // SM-parallel safety verdict (kernel_analysis.hh): computed for

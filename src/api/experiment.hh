@@ -57,7 +57,9 @@ ExperimentRecord runExperiment(
 
 /**
  * Collapse a finished run on @p gpu, a fresh device per experiment,
- * into a record: counters and collectors hold the whole run.
+ * into a record: the device's totals, counters and collectors hold
+ * the whole run, and @p result adds the workload's verdict and
+ * metrics.
  */
 ExperimentRecord collectRecord(Gpu &gpu,
                                const ExperimentSpec &spec,

@@ -138,7 +138,16 @@ class Gpu
     Rng &rng() { return rng_; }
     /** @} */
 
+    /** @name What the device has run so far @{ */
     Cycle now() const { return engine_.now(); }
+    /** Warp instructions issued, summed over SMs. */
+    std::uint64_t issuedInstructions() const;
+    /** Launches begun (Gpu::launch and the serving layer's). */
+    unsigned launchCount() const
+    {
+        return static_cast<unsigned>(launches_.size());
+    }
+    /** @} */
     const GpuConfig &config() const { return config_; }
     SmCore &sm(unsigned i) { return *sms_[i]; }
     MemPartition &partition(unsigned i) { return *partitions_[i]; }
@@ -158,8 +167,6 @@ class Gpu
     /** Per-layer diagnostics for a watchdog panic; settles the
      *  engine first so idle/occupancy cycle totals are current. */
     std::string stallReport(const std::string &label);
-    /** Warp instructions issued so far, summed over SMs. */
-    std::uint64_t issuedInstructions() const;
 
     GpuConfig config_;
     StatRegistry stats_;

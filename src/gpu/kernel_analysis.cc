@@ -1270,7 +1270,7 @@ Analyzer::run()
     SmParallelVerdict v;
     const bool single_block = numBlocks_ <= 1;
 
-    cfg_ = Cfg::build(kernel_);
+    cfg_ = Cfg::build(kernel_.code);
     v.cfgBlocks = static_cast<unsigned>(cfg_.blocks.size());
     v.loopHeads = cfg_.numLoopHeads;
     {

@@ -1,6 +1,8 @@
 #include "isa/assembler.hh"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -59,86 +61,77 @@ tokenize(std::string text)
     return tokens;
 }
 
-/** Parse "rN" -> N. */
+/**
+ * The digits of @p tok from @p pos on, in @p base, as a value no
+ * larger than @p max: no sign, no spaces. nullopt on anything else,
+ * an overflowing literal included.
+ */
+std::optional<std::uint64_t>
+parseDigits(const std::string &tok, std::size_t pos, int base,
+            std::uint64_t max)
+{
+    if (pos >= tok.size())
+        return std::nullopt;
+    std::uint64_t v = 0;
+    const char *const end = tok.data() + tok.size();
+    const auto [stop, error] =
+        std::from_chars(tok.data() + pos, end, v, base);
+    if (error != std::errc{} || stop != end || v > max)
+        return std::nullopt;
+    return v;
+}
+
+/** Parse "<prefix>N" -> N, for N below @p count. */
+std::optional<int>
+parseIndex(const std::string &tok, const std::string &prefix, int count)
+{
+    if (tok.rfind(prefix, 0) != 0)
+        return std::nullopt;
+    const auto v = parseDigits(tok, prefix.size(), 10,
+                               static_cast<std::uint64_t>(count - 1));
+    if (!v)
+        return std::nullopt;
+    return static_cast<int>(*v);
+}
+
 std::optional<int>
 parseReg(const std::string &tok)
 {
-    if (tok.size() < 2 || tok[0] != 'r' ||
-        !std::isdigit(static_cast<unsigned char>(tok[1])))
-        return std::nullopt;
-    int v = 0;
-    for (std::size_t i = 1; i < tok.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-            return std::nullopt;
-        v = v * 10 + (tok[i] - '0');
-    }
-    return v;
+    return parseIndex(tok, "r", kNumRegs);
 }
 
-/** Parse "pN" -> N. */
 std::optional<int>
 parsePred(const std::string &tok)
 {
-    if (tok.size() < 2 || tok[0] != 'p')
-        return std::nullopt;
-    int v = 0;
-    for (std::size_t i = 1; i < tok.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-            return std::nullopt;
-        v = v * 10 + (tok[i] - '0');
-    }
-    return v;
+    return parseIndex(tok, "p", kNumPreds);
 }
 
-/** Parse "paramN" -> N. */
 std::optional<int>
 parseParam(const std::string &tok)
 {
-    if (tok.rfind("param", 0) != 0 || tok.size() == 5)
-        return std::nullopt;
-    int v = 0;
-    for (std::size_t i = 5; i < tok.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-            return std::nullopt;
-        v = v * 10 + (tok[i] - '0');
-    }
-    return v;
+    return parseIndex(tok, "param", kMaxParams);
 }
 
-/** Parse decimal or 0x-hex immediate, with optional leading '-'. */
+/** Parse a decimal or 0x-hex immediate, with optional leading '-',
+ *  that fits an int64. */
 std::optional<std::int64_t>
 parseImm(const std::string &tok)
 {
-    if (tok.empty())
-        return std::nullopt;
-    std::size_t pos = 0;
-    bool neg = tok[0] == '-';
-    if (neg)
-        pos = 1;
-    if (pos >= tok.size())
-        return std::nullopt;
+    const bool neg = !tok.empty() && tok[0] == '-';
+    std::size_t pos = neg ? 1 : 0;
     int base = 10;
     if (tok.compare(pos, 2, "0x") == 0 || tok.compare(pos, 2, "0X") == 0)
     {
         base = 16;
         pos += 2;
-        if (pos >= tok.size())
-            return std::nullopt;
     }
-    std::int64_t v = 0;
-    for (; pos < tok.size(); ++pos) {
-        char ch = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(tok[pos])));
-        int digit;
-        if (ch >= '0' && ch <= '9')
-            digit = ch - '0';
-        else if (base == 16 && ch >= 'a' && ch <= 'f')
-            digit = ch - 'a' + 10;
-        else
-            return std::nullopt;
-        v = v * base + digit;
-    }
-    return neg ? -v : v;
+    constexpr auto max = static_cast<std::uint64_t>(
+        std::numeric_limits<std::int64_t>::max());
+    const auto v = parseDigits(tok, pos, base, neg ? max + 1 : max);
+    if (!v)
+        return std::nullopt;
+    // Two's complement wrap: -(2^63) lands on INT64_MIN.
+    return static_cast<std::int64_t>(neg ? 0 - *v : *v);
 }
 
 std::optional<SpecialReg>
@@ -260,8 +253,9 @@ class Parser
     {
         auto r = parseReg(tok);
         if (!r)
-            syntaxError(line.number, "expected register, got '" + tok +
-                                     "'");
+            syntaxError(line.number, "expected register r0..r" +
+                                         std::to_string(kNumRegs - 1) +
+                                         ", got '" + tok + "'");
         return *r;
     }
 
@@ -270,9 +264,22 @@ class Parser
     {
         auto v = parseImm(tok);
         if (!v)
-            syntaxError(line.number, "expected immediate, got '" + tok +
-                                     "'");
+            syntaxError(line.number, "expected a 64-bit immediate, "
+                                     "got '" + tok + "'");
         return *v;
+    }
+
+    /** A directive's one argument: an immediate in [0, @p max]. */
+    std::uint64_t
+    expectCount(const Line &line, std::uint64_t max)
+    {
+        const auto v = line.tokens.size() == 2
+            ? parseImm(line.tokens[1]) : std::nullopt;
+        if (!v || *v < 0 || static_cast<std::uint64_t>(*v) > max)
+            syntaxError(line.number, line.tokens[0] +
+                                         " needs one count in [0, " +
+                                         std::to_string(max) + "]");
+        return static_cast<std::uint64_t>(*v);
     }
 
     /**
@@ -328,15 +335,10 @@ class Parser
             if (toks[0] == ".kernel") {
                 // handled in run()
             } else if (toks[0] == ".regs") {
-                if (toks.size() != 2)
-                    syntaxError(line.number, ".regs needs one arg");
-                builder.regs(static_cast<int>(
-                    expectImm(line, toks[1])));
+                builder.regs(static_cast<int>(expectCount(line, kNumRegs)));
             } else if (toks[0] == ".shared") {
-                if (toks.size() != 2)
-                    syntaxError(line.number, ".shared needs one arg");
-                builder.shared(static_cast<std::uint32_t>(
-                    expectImm(line, toks[1])));
+                builder.shared(static_cast<std::uint32_t>(expectCount(
+                    line, std::numeric_limits<std::uint32_t>::max())));
             } else {
                 syntaxError(line.number,
                             "unknown directive '" + toks[0] + "'");
@@ -346,7 +348,11 @@ class Parser
 
         // Labels (possibly followed by an instruction on same line).
         if (toks[0].back() == ':') {
-            builder.label(toks[0].substr(0, toks[0].size() - 1));
+            const std::string label = toks[0].substr(0, toks[0].size() - 1);
+            if (builder.labels().count(label))
+                syntaxError(line.number,
+                            "duplicate label '" + label + "'");
+            builder.label(label);
             if (toks.size() == 1)
                 return;
             i = 1;
@@ -368,15 +374,23 @@ class Parser
         }
 
         auto [op, suffix] = splitDot(toks[i]);
+        // Only setp and the memory operations take a ".suffix".
+        if (toks[i] != op && op != "setp" && op != "ld" && op != "st" &&
+            op != "atom")
+            syntaxError(line.number,
+                        "unknown mnemonic '" + toks[i] + "'");
         ++i;
         auto remaining = [&] { return toks.size() - i; };
 
-        if (op == "nop") {
-            builder.nop();
-        } else if (op == "exit") {
-            builder.exit();
-        } else if (op == "bar") {
-            builder.bar();
+        if (op == "nop" || op == "exit" || op == "bar") {
+            if (remaining() != 0)
+                syntaxError(line.number, op + " takes no operands");
+            if (op == "nop")
+                builder.nop();
+            else if (op == "exit")
+                builder.exit();
+            else
+                builder.bar();
         } else if (op == "mov") {
             if (remaining() != 2)
                 syntaxError(line.number, "mov rd, src");
@@ -457,6 +471,8 @@ class Parser
             int rd = expectReg(line, toks[i]);
             ++i;
             auto [ra, off] = parseAddress(line, i);
+            if (i != toks.size())
+                syntaxError(line.number, "ld.space rd, [ra+off]");
             builder.ld(*space, rd, ra, off);
         } else if (op == "atom") {
             auto aop = parseAtomOp(suffix);
@@ -467,7 +483,7 @@ class Parser
             int rd = expectReg(line, toks[i]);
             ++i;
             auto [ra, off] = parseAddress(line, i);
-            if (i >= toks.size())
+            if (i + 1 != toks.size())
                 syntaxError(line.number, "atom.op rd, [ra+off], rb");
             int rb = expectReg(line, toks[i]);
             builder.atom(*aop, rd, ra, rb, off);
@@ -477,7 +493,7 @@ class Parser
                 syntaxError(line.number,
                             "st needs .global/.local/.shared");
             auto [ra, off] = parseAddress(line, i);
-            if (i >= toks.size())
+            if (i + 1 != toks.size())
                 syntaxError(line.number, "st.space [ra+off], rb");
             int rb = expectReg(line, toks[i]);
             builder.st(*space, ra, rb, off);

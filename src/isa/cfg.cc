@@ -6,34 +6,31 @@ namespace gpulat {
 
 namespace {
 
-/** Successor pcs of the instruction at @p pc (terminator view). */
+/** Successor pcs of the instruction at @p pc (terminator view):
+ *  a branch's target first, then the fall-through pc. */
 void
-successorPcs(const Kernel &kernel, std::uint32_t pc,
+successorPcs(const std::vector<Instruction> &code, std::uint32_t pc,
              std::vector<std::uint32_t> &out)
 {
     out.clear();
-    const Instruction &inst = kernel.code[pc];
-    const std::uint32_t next = pc + 1;
-    if (inst.isExit())
-        return; // EXIT is unpredicated in this ISA: thread ends.
-    if (inst.isBranch()) {
+    const Instruction &inst = code[pc];
+    if (inst.isBranch())
         out.push_back(inst.target);
-        if (inst.pred != kNoReg && next < kernel.code.size())
-            out.push_back(next);
+    // An unguarded BRA or EXIT ends the path; under a guard, the
+    // lanes whose predicate is false fall through.
+    if ((inst.isBranch() || inst.isExit()) && inst.pred == kNoReg)
         return;
-    }
-    if (next < kernel.code.size())
-        out.push_back(next);
+    if (pc + 1 < code.size())
+        out.push_back(pc + 1);
 }
 
 } // namespace
 
 Cfg
-Cfg::build(const Kernel &kernel)
+Cfg::build(const std::vector<Instruction> &code)
 {
     Cfg cfg;
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(kernel.code.size());
+    const std::uint32_t n = static_cast<std::uint32_t>(code.size());
     if (n == 0)
         return cfg;
 
@@ -43,7 +40,7 @@ Cfg::build(const Kernel &kernel)
     std::vector<bool> leader(n, false);
     leader[0] = true;
     for (std::uint32_t pc = 0; pc < n; ++pc) {
-        const Instruction &inst = kernel.code[pc];
+        const Instruction &inst = code[pc];
         if (inst.isBranch()) {
             if (inst.target < n)
                 leader[inst.target] = true;
@@ -69,7 +66,7 @@ Cfg::build(const Kernel &kernel)
 
     std::vector<std::uint32_t> succ_pcs;
     for (std::uint32_t b = 0; b < cfg.blocks.size(); ++b) {
-        successorPcs(kernel, cfg.blocks[b].last, succ_pcs);
+        successorPcs(code, cfg.blocks[b].last, succ_pcs);
         for (const std::uint32_t pc : succ_pcs) {
             const std::uint32_t s = cfg.blockOf[pc];
             cfg.blocks[b].succs.push_back(s);

@@ -1,19 +1,22 @@
 /**
  * @file
- * Control-flow graph extraction over a finalized Kernel.
+ * Control-flow graph extraction over an instruction sequence: the one
+ * CFG of a kernel.
  *
- * The SM-parallel safety analysis (src/gpu/kernel_analysis.cc)
- * interprets kernels per basic block with a worklist fixpoint, so it
- * needs leaders, successor edges, a reverse post-order and loop-head
- * marks. The rules mirror the execution model:
+ * KernelBuilder::finalize() runs its post-dominator pass over these
+ * blocks to place reconvergence points, and the SM-parallel safety
+ * analysis (src/gpu/kernel_analysis.cc) interprets kernels per basic
+ * block with a worklist fixpoint, so it needs leaders, successor
+ * edges, a reverse post-order and loop-head marks. The rules mirror
+ * the execution model:
  *
  *  - a BRA target starts a block, as does the instruction after any
- *    BRA (the fall-through path of a predicated branch);
+ *    BRA or EXIT;
  *  - an unpredicated BRA has a single successor (its target), a
  *    predicated BRA has two (target + fall-through);
- *  - EXIT terminates a block with no successors (EXIT must be
- *    unpredicated in this ISA; divergent exits are built from
- *    predicated branches around it);
+ *  - an unpredicated EXIT has no successors; a predicated EXIT
+ *    retires only its guarded lanes (SmCore::execExit), so the rest
+ *    fall through to the next pc;
  *  - BAR is *not* a block boundary: it synchronizes lanes but does
  *    not redirect control flow.
  *
@@ -28,7 +31,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "isa/kernel.hh"
+#include "isa/isa.hh"
 
 namespace gpulat {
 
@@ -57,8 +60,9 @@ struct Cfg
     std::vector<std::uint32_t> rpoIndex;
     unsigned numLoopHeads = 0;
 
-    /** Extract the CFG of @p kernel (empty kernels yield no blocks). */
-    static Cfg build(const Kernel &kernel);
+    /** Extract the CFG of @p code (empty code yields no blocks);
+     *  every branch target must lie inside @p code. */
+    static Cfg build(const std::vector<Instruction> &code);
 };
 
 } // namespace gpulat

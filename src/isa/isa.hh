@@ -23,7 +23,7 @@ namespace gpulat {
 /** Machine operations. */
 enum class Opcode : std::uint8_t {
     NOP,   ///< no operation
-    EXIT,  ///< terminate the thread (must be unpredicated)
+    EXIT,  ///< retire the lanes; under a guard, those whose guard holds
     BAR,   ///< block-wide barrier
     MOV,   ///< rd = reg | imm | kernel parameter
     S2R,   ///< rd = special register (tid, ctaid, ...)

@@ -1,9 +1,9 @@
 #include "isa/kernel.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "common/log.hh"
+#include "isa/cfg.hh"
 
 namespace gpulat {
 
@@ -20,10 +20,6 @@ class BitSet
     }
 
     void set(std::size_t i) { words_[i / 64] |= 1ull << (i % 64); }
-    void clearBit(std::size_t i)
-    {
-        words_[i / 64] &= ~(1ull << (i % 64));
-    }
     bool test(std::size_t i) const
     {
         return words_[i / 64] >> (i % 64) & 1;
@@ -89,7 +85,8 @@ KernelBuilder::emit(Opcode op)
 KernelBuilder &
 KernelBuilder::pred(int p, bool negate)
 {
-    GPULAT_ASSERT(p >= 0 && p < kNumPreds, "bad predicate p", p);
+    if (p < 0 || p >= kNumPreds)
+        fatal("kernel '", name_, "': predicate p", p, " out of range");
     pendingPred_ = p;
     pendingPredNeg_ = negate;
     return *this;
@@ -140,8 +137,9 @@ KernelBuilder::movReg(int rd, int rs)
 KernelBuilder &
 KernelBuilder::movParam(int rd, int param_idx)
 {
-    GPULAT_ASSERT(param_idx >= 0 && param_idx < kMaxParams,
-                  "bad param index ", param_idx);
+    if (param_idx < 0 || param_idx >= kMaxParams)
+        fatal("kernel '", name_, "': param", param_idx,
+              " out of range");
     Instruction &i = emit(Opcode::MOV);
     i.dst = rd;
     i.param = param_idx;
@@ -304,7 +302,8 @@ KernelBuilder::atom(AtomOp op, int rd, int ra, int rb,
 KernelBuilder &
 KernelBuilder::label(const std::string &name)
 {
-    GPULAT_ASSERT(!labels_.count(name), "duplicate label '", name, "'");
+    if (labels_.count(name))
+        fatal("kernel '", name_, "': duplicate label '", name, "'");
     labels_[name] = static_cast<std::uint32_t>(code_.size());
     return *this;
 }
@@ -332,7 +331,8 @@ KernelBuilder::pc() const
 void
 KernelBuilder::validate() const
 {
-    GPULAT_ASSERT(!code_.empty(), "empty kernel '", name_, "'");
+    if (code_.empty())
+        fatal("kernel '", name_, "' has no instructions");
     const Instruction &last = code_.back();
     if (!last.isExit() && !(last.isBranch() && last.pred == kNoReg))
         fatal("kernel '", name_, "' does not end in exit/bra");
@@ -364,51 +364,8 @@ KernelBuilder::validate() const
 void
 KernelBuilder::computeReconvergence()
 {
-    const std::size_t n = code_.size();
-
-    // Basic-block leaders: entry, branch targets, post-branch/exit pcs.
-    std::set<std::uint32_t> leaders;
-    leaders.insert(0);
-    for (std::size_t pc = 0; pc < n; ++pc) {
-        const Instruction &inst = code_[pc];
-        if (inst.isBranch()) {
-            leaders.insert(inst.target);
-            if (pc + 1 < n)
-                leaders.insert(static_cast<std::uint32_t>(pc + 1));
-        } else if (inst.isExit() && pc + 1 < n) {
-            leaders.insert(static_cast<std::uint32_t>(pc + 1));
-        }
-    }
-
-    std::vector<std::uint32_t> starts(leaders.begin(), leaders.end());
-    const std::size_t nblocks = starts.size();
-    // pc -> block index
-    std::vector<std::size_t> block_of(n);
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        std::uint32_t end = b + 1 < nblocks
-            ? starts[b + 1] : static_cast<std::uint32_t>(n);
-        for (std::uint32_t pc = starts[b]; pc < end; ++pc)
-            block_of[pc] = b;
-    }
-
-    // Successor lists. An unpredicated EXIT ends control flow; a
-    // predicated EXIT behaves like a conditional lane kill and falls
-    // through.
-    std::vector<std::vector<std::size_t>> succ(nblocks);
-    for (std::size_t b = 0; b < nblocks; ++b) {
-        std::uint32_t last = (b + 1 < nblocks
-            ? starts[b + 1] : static_cast<std::uint32_t>(n)) - 1;
-        const Instruction &inst = code_[last];
-        if (inst.isBranch()) {
-            succ[b].push_back(block_of[inst.target]);
-            if (inst.pred != kNoReg && last + 1 < n)
-                succ[b].push_back(block_of[last + 1]);
-        } else if (inst.isExit() && inst.pred == kNoReg) {
-            // no successors
-        } else if (last + 1 < n) {
-            succ[b].push_back(block_of[last + 1]);
-        }
-    }
+    const Cfg cfg = Cfg::build(code_);
+    const std::size_t nblocks = cfg.blocks.size();
 
     // Post-dominator sets over nblocks + 1 nodes (virtual exit at
     // index nblocks). Iterative dataflow to a fixpoint.
@@ -423,10 +380,11 @@ KernelBuilder::computeReconvergence()
         changed = false;
         for (std::size_t b = nblocks; b-- > 0;) {
             BitSet nv(universe, true);
-            if (succ[b].empty()) {
+            const std::vector<std::uint32_t> &succs = cfg.blocks[b].succs;
+            if (succs.empty()) {
                 nv = virt_only;
             } else {
-                for (std::size_t s : succ[b])
+                for (const std::uint32_t s : succs)
                     nv.intersectWith(pdom[s]);
             }
             nv.set(b);
@@ -453,13 +411,13 @@ KernelBuilder::computeReconvergence()
         }
         if (best == universe)
             return UINT32_MAX; // paths never reconverge (exit-only)
-        return starts[best];
+        return cfg.blocks[best].first;
     };
 
-    for (std::size_t pc = 0; pc < n; ++pc) {
+    for (std::size_t pc = 0; pc < code_.size(); ++pc) {
         Instruction &inst = code_[pc];
         if (inst.isBranch() && inst.pred != kNoReg)
-            inst.reconv = ipdom_pc(block_of[pc]);
+            inst.reconv = ipdom_pc(cfg.blockOf[pc]);
     }
 }
 

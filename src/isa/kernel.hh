@@ -95,7 +95,7 @@ class KernelBuilder
      */
     Kernel finalize();
 
-    /** Label → pc map (valid after finalize; for tests/disasm). */
+    /** Label → pc map of the labels bound so far. */
     const std::map<std::string, std::uint32_t> &labels() const
     {
         return labels_;

@@ -82,7 +82,6 @@ runPointerChase(Gpu &gpu, const PChaseConfig &cfg)
 
     const Addr out = gpu.alloc(16);
 
-    PChaseResult result;
     std::vector<RegValue> params{0, out};
     Addr buf = kNoAddr;
     if (cfg.space == MemSpace::Global) {
@@ -103,10 +102,7 @@ runPointerChase(Gpu &gpu, const PChaseConfig &cfg)
                   cfg.footprintBytes, ")");
         const Kernel init =
             buildLocalChainInitKernel(elems, cfg.strideBytes);
-        const LaunchResult lr = gpu.launch(init, 1, 1, {});
-        result.cycles += lr.cycles;
-        result.instructions += lr.instructions;
-        ++result.launches;
+        gpu.launch(init, 1, 1, {});
     }
 
     // Don't let the (uninteresting) warm-up and chain-init traffic
@@ -114,10 +110,7 @@ runPointerChase(Gpu &gpu, const PChaseConfig &cfg)
     gpu.latencies().setEnabled(false);
     const Kernel chase =
         buildChaseKernel(cfg.space, warmup, cfg.timedAccesses);
-    const LaunchResult lr = gpu.launch(chase, 1, 1, params);
-    result.cycles += lr.cycles;
-    result.instructions += lr.instructions;
-    ++result.launches;
+    gpu.launch(chase, 1, 1, params);
     gpu.latencies().setEnabled(true);
 
     std::uint64_t delta = 0;
@@ -133,6 +126,7 @@ runPointerChase(Gpu &gpu, const PChaseConfig &cfg)
     const std::uint64_t expected = cfg.space == MemSpace::Global
         ? buf + steps * cfg.strideBytes
         : steps * cfg.strideBytes;
+    PChaseResult result;
     result.chainOk = final_ptr == expected && delta > 0;
 
     result.timedAccesses = cfg.timedAccesses;

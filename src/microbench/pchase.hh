@@ -44,12 +44,6 @@ struct PChaseResult
     std::uint64_t timedAccesses = 0;
     Cycle timedCycles = 0;
 
-    /** @name Launch totals (init + chase kernels) @{ */
-    Cycle cycles = 0;
-    std::uint64_t instructions = 0;
-    unsigned launches = 0;
-    /** @} */
-
     /** The final chase pointer landed where the chain predicts —
      *  the measurement provably followed every dependent load. */
     bool chainOk = false;

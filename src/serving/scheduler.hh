@@ -122,10 +122,6 @@ class LaunchQueueScheduler : public Clocked
         return arrivals_ + (admitted_ << 20) + (completed_ << 40);
     }
 
-    std::uint64_t arrivals() const { return arrivals_; }
-    std::uint64_t admitted() const { return admitted_; }
-    std::uint64_t completed() const { return completed_; }
-
   private:
     struct ActiveLaunch
     {

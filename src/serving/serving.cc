@@ -133,10 +133,6 @@ ServingSession::run()
         [this] { return sched_->progressSignature(); });
 
     WorkloadResult result;
-    result.cycles = run.cycles;
-    result.instructions = run.instructions;
-    result.launches =
-        static_cast<unsigned>(sched_->completed());
     std::vector<double> weights;
     for (const auto &spec : specs_)
         weights.push_back(spec.weight);

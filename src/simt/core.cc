@@ -271,8 +271,7 @@ SmCore::completeLoadTxn(LoadToken token, Cycle now)
         const Cycle total = now - load.issueCycle;
         const Cycle exposed =
             static_cast<Cycle>(idleCum_ - load.idleAtIssue);
-        expShard_->record(tagCycle_, tagPhase_, total,
-                          std::min(exposed, total));
+        expShard_->record({total, std::min(exposed, total)});
     }
     load.valid = false;
     freeTokens_.push_back(token);
@@ -724,7 +723,7 @@ SmCore::tickWriteback(Cycle now)
         hitWheel_.erase(hitWheel_.begin());
         done.trace.complete = at;
         if (latShard_ && latCollector_->enabled())
-            latShard_->record(now, tagPhase_, done.trace);
+            latShard_->record(done.trace);
         freed |= completeLoadTxn(done.token, at);
     }
     return freed;
@@ -847,10 +846,6 @@ SmCore::tickIssue(Cycle now)
 void
 SmCore::tick(Cycle now)
 {
-    // Records appended from inside the tick merge after this
-    // cycle's port deliveries (phase 0), in SM order.
-    tagCycle_ = now;
-    tagPhase_ = 1;
     const bool freed = tickWriteback(now);
     tickInject(now);
     const bool popped = tickLsu(now);
@@ -966,15 +961,10 @@ SmCore::occupancySummary() const
 void
 SmCore::acceptResponse(Cycle now, MemRequest req)
 {
-    // Phase 0: the return port ticks (and delivers) before every
-    // SM's own tick within a cycle, in ascending smId order — the
-    // merge tag reproduces exactly that interleaving.
-    tagCycle_ = now;
-    tagPhase_ = 0;
     wokeSinceTick_ = true;
     req.trace.complete = now;
     if (latShard_ && latCollector_->enabled() && !req.isWrite)
-        latShard_->record(now, tagPhase_, req.trace);
+        latShard_->record(req.trace);
 
     if (l1Caches(req.space) && !req.isAtomic) {
         // Allocate-on-fill; L1 is write-through so victims are

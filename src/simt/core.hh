@@ -301,14 +301,6 @@ class SmCore : public Clocked
     std::function<unsigned(Addr)> partitionOf_;
     /** Next value of this SM's private request-id pool. */
     std::uint64_t reqSeq_ = 0;
-    /** @name Collector merge tag of the current entry point @{
-     * Phase 0: acceptResponse() (the return port ticks before every
-     * SM); phase 1: the SM's own tick. Together with the cycle they
-     * order shard records exactly as a shared collector would see
-     * them under serial ticking. */
-    Cycle tagCycle_ = 0;
-    unsigned tagPhase_ = 1;
-    /** @} */
 
     const LaunchContext *ctx_ = nullptr;
     /** Per-pc scoreboard footprints of ctx_->kernel. */

@@ -103,18 +103,13 @@ Bfs::run(Gpu &gpu)
     const auto blocks =
         static_cast<unsigned>((n + tpb - 1) / tpb);
 
-    WorkloadResult result;
     std::int64_t cur = 0;
     while (true) {
         const std::uint64_t zero = 0;
         gpu.copyToDevice(d_chg, &zero, 8);
-        const LaunchResult lr = gpu.launch(
-            kernel, blocks, tpb,
-            {d_row, d_col, d_lvl, static_cast<RegValue>(cur), d_chg,
-             n});
-        result.cycles += lr.cycles;
-        result.instructions += lr.instructions;
-        ++result.launches;
+        gpu.launch(kernel, blocks, tpb,
+                   {d_row, d_col, d_lvl, static_cast<RegValue>(cur),
+                    d_chg, n});
 
         std::uint64_t changed = 0;
         gpu.copyFromDevice(&changed, d_chg, 8);
@@ -127,6 +122,7 @@ Bfs::run(Gpu &gpu)
 
     gpu.copyFromDevice(levels.data(), d_lvl, n * 8);
     const auto reference = cpuBfs(graph_, opts_.source);
+    WorkloadResult result;
     result.correct = true;
     for (std::uint64_t v = 0; v < n; ++v) {
         if (levels[v] != reference[v]) {

@@ -52,17 +52,13 @@ ComputeStream::run(Gpu &gpu)
     const unsigned tpb = opts_.threadsPerBlock;
     checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);
-    const LaunchResult lr = gpu.launch(
-        buildKernel(opts_.fmaDepth), blocks, tpb,
-        {d_x, d_y, std::bit_cast<RegValue>(c), n});
+    gpu.launch(buildKernel(opts_.fmaDepth), blocks, tpb,
+               {d_x, d_y, std::bit_cast<RegValue>(c), n});
 
     std::vector<double> y(n);
     gpu.copyFromDevice(y.data(), d_y, n * 8);
 
     WorkloadResult result;
-    result.cycles = lr.cycles;
-    result.instructions = lr.instructions;
-    result.launches = 1;
     result.correct = true;
     for (std::uint64_t i = 0; i < n; ++i) {
         double v = x[i];

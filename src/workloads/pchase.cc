@@ -18,9 +18,6 @@ PChase::run(Gpu &gpu)
 
     WorkloadResult result;
     result.correct = r.chainOk;
-    result.cycles = r.cycles;
-    result.instructions = r.instructions;
-    result.launches = r.launches;
     result.metrics["pchase_cycles_per_access"] = r.cyclesPerAccess;
     result.metrics["pchase_timed_cycles"] =
         static_cast<double>(r.timedCycles);

@@ -90,8 +90,7 @@ Reduction::run(Gpu &gpu)
     const Addr d_part = gpu.alloc(blocks * 8);
     gpu.copyToDevice(d_in, in.data(), n * 8);
 
-    const LaunchResult lr =
-        gpu.launch(kernel, blocks, tpb, {d_in, d_part, n});
+    gpu.launch(kernel, blocks, tpb, {d_in, d_part, n});
 
     std::vector<double> partials(blocks);
     gpu.copyFromDevice(partials.data(), d_part, blocks * 8);
@@ -104,9 +103,6 @@ Reduction::run(Gpu &gpu)
         reference += v;
 
     WorkloadResult result;
-    result.cycles = lr.cycles;
-    result.instructions = lr.instructions;
-    result.launches = 1;
     result.correct = sum == reference;
     return result;
 }

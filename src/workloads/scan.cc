@@ -132,12 +132,7 @@ Scan::run(Gpu &gpu)
     Kernel scan_kernel = buildScanKernel();
     scan_kernel.sharedBytes = tpb * 8;
 
-    WorkloadResult result;
-    LaunchResult lr =
-        gpu.launch(scan_kernel, blocks, tpb, {d_in, d_out, d_sums, n});
-    result.cycles += lr.cycles;
-    result.instructions += lr.instructions;
-    ++result.launches;
+    gpu.launch(scan_kernel, blocks, tpb, {d_in, d_out, d_sums, n});
 
     // Host-side second level: exclusive-scan the block totals (a
     // single small vector; a recursive device pass would add nothing
@@ -152,16 +147,13 @@ Scan::run(Gpu &gpu)
     }
     gpu.copyToDevice(d_sums, sums.data(), blocks * 8);
 
-    lr = gpu.launch(buildAddOffsetsKernel(), blocks, tpb,
-                    {d_out, d_sums, n});
-    result.cycles += lr.cycles;
-    result.instructions += lr.instructions;
-    ++result.launches;
+    gpu.launch(buildAddOffsetsKernel(), blocks, tpb, {d_out, d_sums, n});
 
     std::vector<std::uint64_t> out(n);
     gpu.copyFromDevice(out.data(), d_out, n * 8);
 
     std::uint64_t acc = 0;
+    WorkloadResult result;
     result.correct = true;
     for (std::uint64_t i = 0; i < n; ++i) {
         if (out[i] != acc) {

@@ -93,17 +93,13 @@ SpMV::run(Gpu &gpu)
     checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks =
         static_cast<unsigned>((rows + tpb - 1) / tpb);
-    const LaunchResult lr = gpu.launch(
-        buildKernel(), blocks, tpb,
-        {d_row, d_col, d_val, d_x, d_y, rows});
+    gpu.launch(buildKernel(), blocks, tpb,
+               {d_row, d_col, d_val, d_x, d_y, rows});
 
     std::vector<double> y(rows);
     gpu.copyFromDevice(y.data(), d_y, rows * 8);
 
     WorkloadResult result;
-    result.cycles = lr.cycles;
-    result.instructions = lr.instructions;
-    result.launches = 1;
     result.correct = true;
     for (std::uint64_t r = 0; r < rows; ++r) {
         double acc = 0.0;

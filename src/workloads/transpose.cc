@@ -121,25 +121,20 @@ Transpose::run(Gpu &gpu)
     const Addr d_out = gpu.alloc(elems * 8);
     gpu.copyToDevice(d_in, in.data(), elems * 8);
 
-    LaunchResult lr;
     if (opts_.tiled) {
         const unsigned tiles_per_row = n / 32;
         const unsigned shift = static_cast<unsigned>(
             std::countr_zero(tiles_per_row));
-        lr = gpu.launch(buildTiledKernel(),
-                        tiles_per_row * tiles_per_row, 32,
-                        {d_in, d_out, n, shift});
+        gpu.launch(buildTiledKernel(), tiles_per_row * tiles_per_row,
+                   32, {d_in, d_out, n, shift});
     } else {
-        lr = gpu.launch(buildNaiveKernel(), n, n, {d_in, d_out});
+        gpu.launch(buildNaiveKernel(), n, n, {d_in, d_out});
     }
 
     std::vector<std::uint64_t> out(elems);
     gpu.copyFromDevice(out.data(), d_out, elems * 8);
 
     WorkloadResult result;
-    result.cycles = lr.cycles;
-    result.instructions = lr.instructions;
-    result.launches = 1;
     result.correct = true;
     for (unsigned y = 0; y < n && result.correct; ++y) {
         for (unsigned x = 0; x < n; ++x) {

@@ -64,16 +64,12 @@ VecAdd::run(Gpu &gpu)
     const unsigned tpb = opts_.threadsPerBlock;
     checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);
-    const LaunchResult lr =
-        gpu.launch(buildKernel(), blocks, tpb, {d_a, d_b, d_c, n});
+    gpu.launch(buildKernel(), blocks, tpb, {d_a, d_b, d_c, n});
 
     std::vector<double> c(n);
     gpu.copyFromDevice(c.data(), d_c, n * 8);
 
     WorkloadResult result;
-    result.cycles = lr.cycles;
-    result.instructions = lr.instructions;
-    result.launches = 1;
     result.correct = true;
     for (std::uint64_t i = 0; i < n; ++i) {
         if (c[i] != a[i] + b[i]) {

@@ -30,13 +30,13 @@ checkParam(bool ok, const std::string &workload, const char *param,
         fatal(workload, ": parameter '", param, "' ", why...);
 }
 
-/** Outcome of one workload run. */
+/**
+ * Outcome of one workload run. The device totals (cycles,
+ * instructions, launches) are the Gpu's: see Gpu::now().
+ */
 struct WorkloadResult
 {
     bool correct = false;   ///< matched the CPU reference
-    Cycle cycles = 0;       ///< total simulated cycles
-    std::uint64_t instructions = 0;
-    unsigned launches = 0;  ///< kernel launches performed
 
     /**
      * Workload-specific headline numbers (e.g. the pointer chase's

@@ -522,7 +522,8 @@ TEST(WorkloadRegistry, BfsNodesShorthandSurvivesRunExperiment)
     opts.nodes = 512;
     opts.degree = 8;
     Bfs bfs(opts);
-    EXPECT_EQ(rec.cycles, bfs.run(gpu).cycles);
+    EXPECT_TRUE(bfs.run(gpu).correct);
+    EXPECT_EQ(rec.cycles, gpu.now());
 }
 
 TEST(WorkloadRegistry, EveryPresetWorkloadCellIsConstructible)
@@ -779,9 +780,8 @@ directApiCycles()
     VecAdd::Options opts;
     opts.n = 4096;
     VecAdd workload(opts);
-    const WorkloadResult result = workload.run(gpu);
-    EXPECT_TRUE(result.correct);
-    return result.cycles;
+    EXPECT_TRUE(workload.run(gpu).correct);
+    return gpu.now();
 }
 
 TEST(Golden, RunExperimentMatchesDirectApi)

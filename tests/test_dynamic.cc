@@ -235,9 +235,8 @@ TEST(DynamicSched, FrFcfsNotSlowerThanFcfsOnStreaming)
         VecAdd::Options opts;
         opts.n = 1 << 14;
         VecAdd workload(opts);
-        const auto r = workload.run(gpu);
-        EXPECT_TRUE(r.correct);
-        return r.cycles;
+        EXPECT_TRUE(workload.run(gpu).correct);
+        return gpu.now();
     };
     EXPECT_LE(run_cycles(DramSchedPolicy::FRFCFS),
               run_cycles(DramSchedPolicy::FCFS) * 1.05);
@@ -254,9 +253,8 @@ TEST(DynamicIcnt, LatencyIsExposedInBfsAndHiddenInComputeStream)
         cfg.icntLatency = icnt_latency;
         Gpu gpu(cfg);
         auto workload = make_workload();
-        const WorkloadResult r = workload.run(gpu);
-        EXPECT_TRUE(r.correct) << workload.name();
-        return static_cast<double>(r.cycles);
+        EXPECT_TRUE(workload.run(gpu).correct) << workload.name();
+        return static_cast<double>(gpu.now());
     };
     auto bfs = [] {
         Bfs::Options opts;

@@ -20,6 +20,7 @@
 #include "latency/breakdown.hh"
 #include "microbench/pchase.hh"
 #include "workloads/bfs.hh"
+#include "workloads/gemm.hh"
 #include "workloads/vecadd.hh"
 
 namespace gpulat {
@@ -744,11 +745,10 @@ RunCapture
 runWorkload(Workload &wl, GpuConfig cfg)
 {
     Gpu gpu(std::move(cfg));
-    const WorkloadResult r = wl.run(gpu);
     RunCapture cap;
-    cap.correct = r.correct;
-    cap.cycles = r.cycles;
-    cap.instructions = r.instructions;
+    cap.correct = wl.run(gpu).correct;
+    cap.cycles = gpu.now();
+    cap.instructions = gpu.issuedInstructions();
     cap.traces = gpu.latencies().traces();
     cap.exposure = gpu.exposure().records();
     for (unsigned s = 0; s < gpu.config().numSms; ++s)
@@ -1000,6 +1000,24 @@ TEST(Engine, ParallelTickingMatchesSerialOnVecAdd)
     const RunCapture serial = runWorkload(wl_serial, serial_cfg);
     const RunCapture parallel = runWorkload(wl_par, par_cfg);
     expectIdenticalRuns(serial, parallel);
+}
+
+TEST(Engine, ParallelTickingMatchesSerialOnGemm)
+{
+    // The benchmark's SM-parallel loop shape: the tiled gemm loop,
+    // proved safe, ticked on two threads.
+    Gemm::Options o;
+    o.n = 64;
+    GpuConfig serial_cfg = smallGF106();
+    GpuConfig par_cfg = smallGF106();
+    par_cfg.engine.tickJobs = 2;
+
+    Gemm wl_serial(o);
+    Gemm wl_par(o);
+    const RunCapture serial = runWorkload(wl_serial, serial_cfg);
+    const RunCapture parallel = runWorkload(wl_par, par_cfg);
+    expectIdenticalRuns(serial, parallel);
+    EXPECT_FALSE(serial.traces.empty());
 }
 
 TEST(Engine, ParallelTickingMatchesSerialOnBfsNonUnityRatios)

@@ -238,7 +238,7 @@ TEST(Builder, DuplicateLabelIsAnError)
 {
     KernelBuilder b("t");
     b.label("x");
-    EXPECT_THROW(b.label("x"), PanicError);
+    EXPECT_THROW(b.label("x"), FatalError);
 }
 
 TEST(Builder, RejectsDoubleFinalize)

@@ -354,7 +354,7 @@ constexpr std::size_t kSoundOutBytes =
 /**
  * Build a random multi-block program: random ALU body (optionally
  * wrapped in a short counted loop on p7/r12, which the body never
- * touches), then one of four global access patterns addressed by
+ * touches), then one of five global access patterns addressed by
  * gtid. Returns the finished kernel.
  */
 Kernel
@@ -397,7 +397,7 @@ buildRandomMultiBlockKernel(Rng &rng)
     builder.imad(8, 9, 10, 8);            // gtid
     builder.movParam(10, 0);              // out base
 
-    switch (rng.below(4)) {
+    switch (rng.below(5)) {
       case 0: // injective store: out[gtid] — provably disjoint
         builder.aluImm(Opcode::SHL, 9, 8, 3);
         builder.alu(Opcode::IADD, 10, 10, 9);
@@ -416,12 +416,22 @@ buildRandomMultiBlockKernel(Rng &rng)
         builder.movImm(11, 1);
         builder.atom(AtomOp::Add, 13, 10, 11);
         break;
-      default: // guarded injective store: first half of the grid
+      case 3: // guarded injective store: first half of the grid
         builder.setpImm(CmpOp::LT, 6, 8,
                         kSoundBlocks * kSoundThreads / 2);
         builder.aluImm(Opcode::SHL, 9, 8, 3);
         builder.alu(Opcode::IADD, 10, 10, 9);
         builder.pred(6).st(MemSpace::Global, 10, 8);
+        break;
+      default: // predicated exit, then the aliasing store: the first
+               // half of the grid runs on into out[gtid & 3]
+        builder.setpImm(CmpOp::GE, 6, 8,
+                        kSoundBlocks * kSoundThreads / 2);
+        builder.pred(6).exit();
+        builder.aluImm(Opcode::AND, 9, 8, 3);
+        builder.aluImm(Opcode::SHL, 9, 9, 3);
+        builder.alu(Opcode::IADD, 10, 10, 9);
+        builder.st(MemSpace::Global, 10, 8);
         break;
     }
     builder.exit();

@@ -277,7 +277,7 @@ TEST(Serving, GoldenLatencyDecomposition)
     ServingSession session(gpu, smallSpecs());
     const WorkloadResult result = session.run();
     EXPECT_TRUE(result.correct);
-    EXPECT_EQ(result.launches, 8u);
+    EXPECT_EQ(gpu.launchCount(), 8u);
 
     const auto &records = session.metrics().records();
     ASSERT_EQ(records.size(), 8u);

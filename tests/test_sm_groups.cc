@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-SM tick groups: the launch-time SM-parallel kernel safety
- * analysis, the sharded collectors' deterministic merge, byte
+ * analysis, the sharded collectors' read order, byte
  * identity of experiment output across tick-jobs values and SM
  * groupings, the per-SM request-id pools behind the launch
  * activity signature, and the engine's work-stealing worker pool
@@ -20,6 +20,7 @@
 #include "engine/tick_engine.hh"
 #include "gpu/gpu.hh"
 #include "gpu/kernel_analysis.hh"
+#include "isa/assembler.hh"
 #include "isa/kernel.hh"
 #include "latency/collector.hh"
 
@@ -227,6 +228,46 @@ TEST(SmParallelSafety, StoreAfterReconvergenceSerializes)
     EXPECT_NE(v.reason.find("non-affine"), std::string::npos);
 }
 
+/** A pointer read-modify-write behind a bounds guard on gtid, the
+ *  guard being @p guard ("@p0 exit" or "@p0 bra done"). */
+Kernel
+guardedPointerUpdate(const std::string &guard)
+{
+    return assemble("s2r r0, tid\n"
+                    "s2r r1, ctaid\n"
+                    "s2r r2, ntid\n"
+                    "imad r0, r1, r2, r0\n"
+                    "mov r3, param1\n"
+                    "setp.ge p0, r0, r3\n" +
+                    guard +
+                    "\n"
+                    "mov r4, param0\n"
+                    "ld.global r5, [r4]\n"
+                    "ld.global r6, [r5]\n"
+                    "iadd r6, r6, r0\n"
+                    "st.global [r5], r6\n"
+                    "done: exit\n");
+}
+
+TEST(SmParallelSafety, StoreAfterAGuardedExitSerializes)
+{
+    // `@p0 exit` retires only the guarded lanes; the others run on
+    // into a store through a loaded pointer, which every block may
+    // share. The CFG must give the exit its fall-through edge, or
+    // the analysis never sees the store and calls the kernel
+    // store-free. The same body behind `@p0 bra done` must get the
+    // same verdict.
+    for (const char *guard : {"@p0 exit", "@p0 bra done"}) {
+        const SmParallelVerdict v = analyzeSmParallelSafety(
+            guardedPointerUpdate(guard), 240, 64,
+            makeParams({0x1000, 240 * 64}));
+        EXPECT_FALSE(v.safe) << guard << ": " << v.reason;
+        EXPECT_TRUE(v.hasStore) << guard;
+        EXPECT_NE(v.reason.find("non-affine"), std::string::npos)
+            << guard << ": " << v.reason;
+    }
+}
+
 TEST(SmParallelSafety, SharedAndLocalAccessesStaySafe)
 {
     // Shared memory is per-SM, local memory per-thread: neither
@@ -245,7 +286,7 @@ TEST(SmParallelSafety, SharedAndLocalAccessesStaySafe)
     EXPECT_TRUE(v.safe) << v.reason;
 }
 
-// ------------------------------------------- collector shard merge
+// ------------------------------------------------- collector shards
 
 LatencyTrace
 traceStamp(Cycle issue)
@@ -256,47 +297,37 @@ traceStamp(Cycle issue)
     return t;
 }
 
-TEST(ShardedCollectors, MergeReproducesSerialAppendOrder)
+std::vector<Cycle>
+issues(const std::vector<LatencyTrace> &traces)
 {
-    // Serial shared-collector order within one core cycle: all
-    // phase-0 records (return-port deliveries) in ascending smId
-    // order, then all phase-1 records (SM ticks) in ascending smId
-    // order; FIFO within a shard. The merged view must interleave
-    // the shards exactly that way regardless of wall-clock append
-    // interleaving (here: shard 1 fully appended before shard 0).
-    LatencyCollector col;
-    col.resize(2);
-    col.shard(1).record(5, 0, traceStamp(10)); // cycle 5, delivery
-    col.shard(1).record(5, 1, traceStamp(11)); // cycle 5, own tick
-    col.shard(1).record(7, 1, traceStamp(12));
-    col.shard(0).record(5, 1, traceStamp(20));
-    col.shard(0).record(6, 0, traceStamp(21));
-    col.shard(0).record(7, 1, traceStamp(22));
-
-    const auto &traces = col.traces();
-    ASSERT_EQ(traces.size(), 6u);
-    const std::vector<Cycle> expect{10, 20, 11, 21, 22, 12};
-    for (std::size_t i = 0; i < expect.size(); ++i)
-        EXPECT_EQ(traces[i].issue, expect[i]) << i;
-
-    // The merged view refreshes after further appends.
-    col.shard(0).record(8, 1, traceStamp(23));
-    EXPECT_EQ(col.traces().size(), 7u);
-    EXPECT_EQ(col.traces().back().issue, 23u);
+    std::vector<Cycle> out;
+    for (const LatencyTrace &t : traces)
+        out.push_back(t.issue);
+    return out;
 }
 
-TEST(ShardedCollectors, ExposureMergesLikewise)
+TEST(ShardedCollectors, ReadReturnsEachRecordOnceInSmOrder)
 {
-    ExposureCollector col;
-    col.resize(3);
-    col.shard(2).record(4, 1, 40, 4);
-    col.shard(0).record(4, 1, 10, 1);
-    col.shard(1).record(3, 1, 30, 3);
-    const auto &recs = col.records();
-    ASSERT_EQ(recs.size(), 3u);
-    EXPECT_EQ(recs[0].total, 30u);
-    EXPECT_EQ(recs[1].total, 10u);
-    EXPECT_EQ(recs[2].total, 40u);
+    // Wall-clock append order does not matter: shard 1 is filled
+    // before shard 0, yet a read lists SM 0's records first, each
+    // shard's in its own append order.
+    LatencyCollector col;
+    col.resize(2);
+    col.shard(1).record(traceStamp(10));
+    col.shard(1).record(traceStamp(11));
+    col.shard(0).record(traceStamp(20));
+    col.shard(0).record(traceStamp(21));
+    EXPECT_EQ(col.count(), 4u);
+    EXPECT_EQ(issues(col.traces()), (std::vector<Cycle>{20, 21, 10, 11}));
+    EXPECT_EQ(col.count(), col.traces().size());
+
+    // A record appended after a read comes back on the next one,
+    // and nothing is read twice.
+    col.shard(1).record(traceStamp(12));
+    EXPECT_EQ(col.count(), 5u);
+    EXPECT_EQ(issues(col.traces()),
+              (std::vector<Cycle>{20, 21, 10, 11, 12}));
+    EXPECT_EQ(col.count(), col.traces().size());
 }
 
 // ------------------------------- record identity across schedules

@@ -97,9 +97,8 @@ TEST_P(BfsSeeds, MatchesCpuReferenceOnUniformGraphs)
     opts.degree = 6;
     opts.seed = GetParam();
     Bfs bfs(opts);
-    const WorkloadResult r = bfs.run(gpu);
-    EXPECT_TRUE(r.correct) << "seed " << GetParam();
-    EXPECT_GT(r.launches, 1u);
+    EXPECT_TRUE(bfs.run(gpu).correct) << "seed " << GetParam();
+    EXPECT_GT(gpu.launchCount(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BfsSeeds,
@@ -211,12 +210,10 @@ TEST(TransposeWorkload, TiledIsFasterThanNaive)
 
     Gpu gpu_naive(testConfig());
     Gpu gpu_tiled(testConfig());
-    const auto rn = naive.run(gpu_naive);
-    const auto rt = tiled.run(gpu_tiled);
-    ASSERT_TRUE(rn.correct);
-    ASSERT_TRUE(rt.correct);
+    ASSERT_TRUE(naive.run(gpu_naive).correct);
+    ASSERT_TRUE(tiled.run(gpu_tiled).correct);
     // Coalescing pays: tiled needs fewer cycles.
-    EXPECT_LT(rt.cycles, rn.cycles);
+    EXPECT_LT(gpu_tiled.now(), gpu_naive.now());
 }
 
 class ScanSizes
@@ -232,10 +229,9 @@ TEST_P(ScanSizes, MatchesReference)
     opts.n = GetParam().first;
     opts.blockElems = GetParam().second;
     Scan workload(opts);
-    const WorkloadResult r = workload.run(gpu);
-    EXPECT_TRUE(r.correct)
+    EXPECT_TRUE(workload.run(gpu).correct)
         << "n=" << opts.n << " block=" << opts.blockElems;
-    EXPECT_EQ(r.launches, 2u);
+    EXPECT_EQ(gpu.launchCount(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
