@@ -93,7 +93,6 @@ buildKeys()
         GPULAT_CFG_KEY(sm.l1MissQueueSize, "uint"),
         GPULAT_CFG_KEY(sm.l1Cache.capacityBytes, "bytes"),
         GPULAT_CFG_KEY(sm.l1Cache.ways, "uint"),
-        GPULAT_CFG_KEY(sm.l1Cache.write, kWritePolicySpellings),
 
         GPULAT_CFG_KEY(partition.ropQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.ropLatency, "cycles"),
@@ -106,7 +105,6 @@ buildKeys()
         GPULAT_CFG_KEY(partition.l2MshrMaxMerge, "uint"),
         GPULAT_CFG_KEY(partition.l2Cache.capacityBytes, "bytes"),
         GPULAT_CFG_KEY(partition.l2Cache.ways, "uint"),
-        GPULAT_CFG_KEY(partition.l2Cache.write, kWritePolicySpellings),
         GPULAT_CFG_KEY(partition.dramQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.sched, kDramSchedPolicySpellings),
         GPULAT_CFG_KEY(partition.dramCmdInterval, "cycles"),

@@ -7,8 +7,8 @@
 namespace gpulat {
 
 Cache::Cache(std::string name, const CacheParams &params,
-             StatRegistry *stats)
-    : name_(std::move(name)), params_(params)
+             WritePolicy write, StatRegistry *stats)
+    : name_(std::move(name)), params_(params), write_(write)
 {
     GPULAT_ASSERT(params_.lineBytes > 0 &&
                   std::has_single_bit(params_.lineBytes),
@@ -76,7 +76,7 @@ Cache::access(Addr line_addr, bool is_write, Cycle now)
         hits_->inc();
         line->lastUse = now;
         if (is_write) {
-            if (params_.write == WritePolicy::WriteBack)
+            if (write_ == WritePolicy::WriteBack)
                 line->dirty = true;
             // Write-through: line stays clean; the caller forwards
             // the write downstream regardless.
@@ -84,7 +84,7 @@ Cache::access(Addr line_addr, bool is_write, Cycle now)
         return CacheOutcome::Hit;
     }
 
-    if (is_write && params_.write == WritePolicy::WriteThrough) {
+    if (is_write && write_ == WritePolicy::WriteThrough) {
         // No-allocate on write miss; not counted as a demand miss
         // since nothing waits on it.
         return CacheOutcome::WriteNoAllocate;

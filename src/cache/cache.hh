@@ -16,13 +16,16 @@
 #include <string>
 #include <vector>
 
-#include "common/spelling.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace gpulat {
 
-/** Write policies. */
+/**
+ * Write policies. Each level's owner fixes its cache's policy, the
+ * one its pipeline models: the SM's L1 forwards every store, and the
+ * partition's L2 writes dirty victims back to DRAM.
+ */
 enum class WritePolicy : std::uint8_t {
     /** Write-through, no write-allocate (GPU L1 style): writes
      *  update a present line and always propagate downstream. */
@@ -31,19 +34,12 @@ enum class WritePolicy : std::uint8_t {
     WriteBack,
 };
 
-/** `sm.l1Cache.write` / `partition.l2Cache.write` spellings. */
-inline constexpr Spelling<WritePolicy> kWritePolicySpellings[] = {
-    {"writethrough", WritePolicy::WriteThrough},
-    {"writeback", WritePolicy::WriteBack},
-};
-
-/** Geometry + write policy of one cache (replacement is LRU). */
+/** Geometry of one cache (replacement is LRU). */
 struct CacheParams
 {
     std::uint64_t capacityBytes = 16 * 1024;
     std::uint32_t lineBytes = 128;
     std::uint32_t ways = 4;
-    WritePolicy write = WritePolicy::WriteThrough;
 
     std::uint64_t sets() const
     {
@@ -69,9 +65,10 @@ class Cache
     /**
      * @param name stats prefix ("sm0.l1").
      * @param params geometry.
+     * @param write the write policy.
      * @param stats registry the hit/miss counters live in.
      */
-    Cache(std::string name, const CacheParams &params,
+    Cache(std::string name, const CacheParams &params, WritePolicy write,
           StatRegistry *stats);
 
     /**
@@ -118,6 +115,7 @@ class Cache
 
     std::string name_;
     CacheParams params_;
+    WritePolicy write_;
     std::vector<Line> lines_; ///< sets * ways, set-major
 
     Counter *hits_;

@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/spelling.hh"
+
 namespace gpulat {
 
 /** Simulated time, measured in core ("hot") clock cycles. */
@@ -52,8 +54,12 @@ enum class MemSpace : std::uint8_t {
     Shared, ///< on-chip per-SM scratchpad
 };
 
-/** Printable name of a memory space. */
-const char *toString(MemSpace space);
+/** Memory space spellings (`ld.space`, `st.space`). */
+inline constexpr Spelling<MemSpace> kMemSpaceSpellings[] = {
+    {"global", MemSpace::Global},
+    {"local", MemSpace::Local},
+    {"shared", MemSpace::Shared},
+};
 
 } // namespace gpulat
 

@@ -356,14 +356,7 @@ Gpu::validateLaunchShape(const Kernel &kernel, unsigned num_blocks,
     // The declared register count bounds each thread's register
     // file slice; code touching a register beyond it would corrupt
     // neighbouring state.
-    int max_reg = -1;
-    for (const auto &inst : kernel.code) {
-        max_reg = std::max({max_reg, inst.dst, inst.srcA,
-                            inst.useImm ? kNoReg : inst.srcB,
-                            inst.srcC});
-        if (inst.isStore() || inst.isAtomic())
-            max_reg = std::max(max_reg, inst.srcB);
-    }
+    const int max_reg = highestRegister(kernel.code);
     if (max_reg >= kernel.numRegs)
         fatal("kernel '", kernel.name, "' declares ", kernel.numRegs,
               " registers but uses r", max_reg);

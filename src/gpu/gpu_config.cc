@@ -17,8 +17,6 @@ baseConfig()
 {
     GpuConfig cfg;
     cfg.sm.lineBytes = 128;
-    cfg.partition.l2Cache.write = WritePolicy::WriteBack;
-    cfg.sm.l1Cache.write = WritePolicy::WriteThrough;
     return cfg;
 }
 

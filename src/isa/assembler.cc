@@ -1,10 +1,12 @@
 #include "isa/assembler.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "common/log.hh"
@@ -132,77 +134,6 @@ parseImm(const std::string &tok)
         return std::nullopt;
     // Two's complement wrap: -(2^63) lands on INT64_MIN.
     return static_cast<std::int64_t>(neg ? 0 - *v : *v);
-}
-
-std::optional<SpecialReg>
-parseSreg(const std::string &tok)
-{
-    if (tok == "tid") return SpecialReg::Tid;
-    if (tok == "ctaid") return SpecialReg::Ctaid;
-    if (tok == "ntid") return SpecialReg::Ntid;
-    if (tok == "nctaid") return SpecialReg::Nctaid;
-    if (tok == "laneid") return SpecialReg::LaneId;
-    if (tok == "warpid") return SpecialReg::WarpId;
-    if (tok == "smid") return SpecialReg::SmId;
-    return std::nullopt;
-}
-
-std::optional<CmpOp>
-parseCmp(const std::string &tok)
-{
-    if (tok == "eq") return CmpOp::EQ;
-    if (tok == "ne") return CmpOp::NE;
-    if (tok == "lt") return CmpOp::LT;
-    if (tok == "le") return CmpOp::LE;
-    if (tok == "gt") return CmpOp::GT;
-    if (tok == "ge") return CmpOp::GE;
-    return std::nullopt;
-}
-
-std::optional<AtomOp>
-parseAtomOp(const std::string &tok)
-{
-    if (tok == "add") return AtomOp::Add;
-    if (tok == "max") return AtomOp::Max;
-    if (tok == "exch") return AtomOp::Exch;
-    return std::nullopt;
-}
-
-std::optional<MemSpace>
-parseSpace(const std::string &tok)
-{
-    if (tok == "global") return MemSpace::Global;
-    if (tok == "local") return MemSpace::Local;
-    if (tok == "shared") return MemSpace::Shared;
-    return std::nullopt;
-}
-
-std::optional<Opcode>
-parseAluOp(const std::string &tok)
-{
-    if (tok == "iadd") return Opcode::IADD;
-    if (tok == "isub") return Opcode::ISUB;
-    if (tok == "imul") return Opcode::IMUL;
-    if (tok == "shl") return Opcode::SHL;
-    if (tok == "shr") return Opcode::SHR;
-    if (tok == "and") return Opcode::AND;
-    if (tok == "or") return Opcode::OR;
-    if (tok == "xor") return Opcode::XOR;
-    if (tok == "imin") return Opcode::IMIN;
-    if (tok == "imax") return Opcode::IMAX;
-    if (tok == "fadd") return Opcode::FADD;
-    if (tok == "fmul") return Opcode::FMUL;
-    return std::nullopt;
-}
-
-/** Split "op.suffix" into (op, suffix). */
-std::pair<std::string, std::string>
-splitDot(const std::string &tok)
-{
-    auto dot = tok.find('.');
-    if (dot == std::string::npos)
-        return {tok, ""};
-    return {tok.substr(0, dot), tok.substr(dot + 1)};
 }
 
 /** Parser driving a KernelBuilder. */
@@ -373,143 +304,141 @@ class Parser
                 syntaxError(line.number, "guard without instruction");
         }
 
-        auto [op, suffix] = splitDot(toks[i]);
-        // Only setp and the memory operations take a ".suffix".
-        if (toks[i] != op && op != "setp" && op != "ld" && op != "st" &&
-            op != "atom")
+        parseInstruction(builder, line, i);
+    }
+
+    /**
+     * Parse the instruction at tokens[@p i] by walking its opcode's
+     * shape, and emit it under the pending guard.
+     */
+    void
+    parseInstruction(KernelBuilder &builder, const Line &line,
+                     std::size_t i)
+    {
+        const auto &toks = line.tokens;
+        const std::size_t dot = toks[i].find('.');
+        const std::string mnemonic = toks[i].substr(0, dot);
+        const OpcodeInfo *info = findOpcode(mnemonic);
+        if (!info || (dot != std::string::npos &&
+                      info->suffix == Suffix::None))
             syntaxError(line.number,
                         "unknown mnemonic '" + toks[i] + "'");
+        const std::string suffix =
+            dot == std::string::npos ? "" : toks[i].substr(dot + 1);
         ++i;
-        auto remaining = [&] { return toks.size() - i; };
-
-        if (op == "nop" || op == "exit" || op == "bar") {
-            if (remaining() != 0)
-                syntaxError(line.number, op + " takes no operands");
-            if (op == "nop")
-                builder.nop();
-            else if (op == "exit")
-                builder.exit();
-            else
-                builder.bar();
-        } else if (op == "mov") {
-            if (remaining() != 2)
-                syntaxError(line.number, "mov rd, src");
-            int rd = expectReg(line, toks[i]);
-            const std::string &src = toks[i + 1];
-            if (auto param = parseParam(src)) {
-                builder.movParam(rd, *param);
-            } else if (auto rs = parseReg(src)) {
-                builder.movReg(rd, *rs);
-            } else if (auto imm = parseImm(src)) {
-                builder.movImm(rd, *imm);
-            } else {
-                syntaxError(line.number, "bad mov source '" + src + "'");
-            }
-        } else if (op == "s2r") {
-            if (remaining() != 2)
-                syntaxError(line.number, "s2r rd, sreg");
-            int rd = expectReg(line, toks[i]);
-            auto sr = parseSreg(toks[i + 1]);
-            if (!sr)
-                syntaxError(line.number,
-                            "bad special register '" + toks[i + 1] +
-                            "'");
-            builder.s2r(rd, *sr);
-        } else if (op == "clock") {
-            if (remaining() != 1 && remaining() != 2)
-                syntaxError(line.number, "clock rd [, rdep]");
-            int rd = expectReg(line, toks[i]);
-            int dep = kNoReg;
-            if (remaining() == 2)
-                dep = expectReg(line, toks[i + 1]);
-            builder.clock(rd, dep);
-        } else if (op == "imad" || op == "ffma") {
-            if (remaining() != 4)
-                syntaxError(line.number, op + " rd, ra, rb, rc");
-            int rd = expectReg(line, toks[i]);
-            int ra = expectReg(line, toks[i + 1]);
-            int rb = expectReg(line, toks[i + 2]);
-            int rc = expectReg(line, toks[i + 3]);
-            if (op == "imad")
-                builder.imad(rd, ra, rb, rc);
-            else
-                builder.ffma(rd, ra, rb, rc);
-        } else if (op == "i2f" || op == "f2i") {
-            if (remaining() != 2)
-                syntaxError(line.number, op + " rd, ra");
-            builder.cvt(op == "i2f" ? Opcode::I2F : Opcode::F2I,
-                        expectReg(line, toks[i]),
-                        expectReg(line, toks[i + 1]));
-        } else if (op == "setp") {
-            auto cmp = parseCmp(suffix);
-            if (!cmp)
-                syntaxError(line.number,
-                            "setp needs .eq/.ne/.lt/.le/.gt/.ge");
-            if (remaining() != 3)
-                syntaxError(line.number, "setp.cc pd, ra, b");
-            auto pd = parsePred(toks[i]);
-            if (!pd)
-                syntaxError(line.number,
-                            "bad predicate '" + toks[i] + "'");
-            int ra = expectReg(line, toks[i + 1]);
-            if (auto rb = parseReg(toks[i + 2]))
-                builder.setp(*cmp, *pd, ra, *rb);
-            else
-                builder.setpImm(*cmp, *pd, ra,
-                                expectImm(line, toks[i + 2]));
-        } else if (op == "bra") {
-            if (remaining() != 1)
-                syntaxError(line.number, "bra label");
-            builder.bra(toks[i]);
-        } else if (op == "ld") {
-            auto space = parseSpace(suffix);
-            if (!space)
-                syntaxError(line.number,
-                            "ld needs .global/.local/.shared");
-            if (remaining() < 2)
-                syntaxError(line.number, "ld.space rd, [ra+off]");
-            int rd = expectReg(line, toks[i]);
-            ++i;
-            auto [ra, off] = parseAddress(line, i);
-            if (i != toks.size())
-                syntaxError(line.number, "ld.space rd, [ra+off]");
-            builder.ld(*space, rd, ra, off);
-        } else if (op == "atom") {
-            auto aop = parseAtomOp(suffix);
-            if (!aop)
-                syntaxError(line.number, "atom needs .add/.max/.exch");
-            if (remaining() < 3)
-                syntaxError(line.number, "atom.op rd, [ra+off], rb");
-            int rd = expectReg(line, toks[i]);
-            ++i;
-            auto [ra, off] = parseAddress(line, i);
-            if (i + 1 != toks.size())
-                syntaxError(line.number, "atom.op rd, [ra+off], rb");
-            int rb = expectReg(line, toks[i]);
-            builder.atom(*aop, rd, ra, rb, off);
-        } else if (op == "st") {
-            auto space = parseSpace(suffix);
-            if (!space)
-                syntaxError(line.number,
-                            "st needs .global/.local/.shared");
-            auto [ra, off] = parseAddress(line, i);
-            if (i + 1 != toks.size())
-                syntaxError(line.number, "st.space [ra+off], rb");
-            int rb = expectReg(line, toks[i]);
-            builder.st(*space, ra, rb, off);
-        } else if (auto alu_op = parseAluOp(op)) {
-            if (remaining() != 3)
-                syntaxError(line.number, op + " rd, ra, b");
-            int rd = expectReg(line, toks[i]);
-            int ra = expectReg(line, toks[i + 1]);
-            if (auto rb = parseReg(toks[i + 2]))
-                builder.alu(*alu_op, rd, ra, *rb);
-            else
-                builder.aluImm(*alu_op, rd, ra,
-                               expectImm(line, toks[i + 2]));
-        } else {
-            syntaxError(line.number, "unknown mnemonic '" + op + "'");
+        Instruction inst{.op = info->op};
+        bool suffix_ok = true;
+        visitSuffix(inst, [&](const auto &table, auto &field) {
+            const auto value = unspell(table, suffix);
+            suffix_ok = value.has_value();
+            if (value)
+                field = *value;
+        });
+        if (!suffix_ok) {
+            std::string choices;
+            for (const char *text : suffixSpellings(info->op))
+                choices += (choices.empty() ? "." : "/.") +
+                           std::string(text);
+            syntaxError(line.number, mnemonic + " needs " + choices);
         }
+
+        // Walk the shape. Each operand is one token but an address,
+        // so only a shape with an address may have more tokens than
+        // operands, and the tokens after the address must match the
+        // operands after it.
+        const auto &shape = info->shape;
+        const auto arity = static_cast<std::size_t>(
+            std::find(shape.begin(), shape.end(), Operand::None) -
+            shape.begin());
+        const bool optional = arity && shape[arity - 1] == Operand::Dep;
+        const bool address = std::find(shape.begin(), shape.end(),
+                                       Operand::Address) != shape.end();
+        auto usage = [&] {
+            syntaxError(line.number,
+                        arity == 0 ? mnemonic + " takes no operands"
+                        : info->suffix == Suffix::None
+                            ? mnemonic + " " + info->usage
+                            : mnemonic + "." + info->usage);
+        };
+        if (toks.size() - i + optional < arity ||
+            (!address && toks.size() - i > arity))
+            usage();
+        auto next = [&]() -> const std::string & { return toks[i++]; };
+        std::string target;
+        for (std::size_t k = 0; k < arity; ++k) {
+            switch (shape[k]) {
+              case Operand::None:
+                break;
+              case Operand::Dst:
+                inst.dst = expectReg(line, next());
+                break;
+              case Operand::SrcA:
+                inst.srcA = expectReg(line, next());
+                break;
+              case Operand::SrcB:
+                inst.srcB = expectReg(line, next());
+                break;
+              case Operand::SrcC:
+                inst.srcC = expectReg(line, next());
+                break;
+              case Operand::Dep:
+                if (i < toks.size())
+                    inst.srcA = expectReg(line, next());
+                break;
+              case Operand::MovSrc: {
+                const std::string &tok = next();
+                if (const auto param = parseParam(tok)) {
+                    inst.param = *param;
+                } else if (const auto rs = parseReg(tok)) {
+                    inst.srcB = *rs;
+                } else if (const auto imm = parseImm(tok)) {
+                    inst.imm = *imm;
+                    inst.useImm = true;
+                } else {
+                    syntaxError(line.number,
+                                "bad mov source '" + tok + "'");
+                }
+                break;
+              }
+              case Operand::RegOrImm: {
+                const std::string &tok = next();
+                if (const auto rb = parseReg(tok)) {
+                    inst.srcB = *rb;
+                } else {
+                    inst.imm = expectImm(line, tok);
+                    inst.useImm = true;
+                }
+                break;
+              }
+              case Operand::Sreg: {
+                const std::string &tok = next();
+                const auto sreg = unspell(kSpecialRegSpellings, tok);
+                if (!sreg)
+                    syntaxError(line.number,
+                                "bad special register '" + tok + "'");
+                inst.sreg = *sreg;
+                break;
+              }
+              case Operand::PredDst: {
+                const std::string &tok = next();
+                const auto pd = parsePred(tok);
+                if (!pd)
+                    syntaxError(line.number,
+                                "bad predicate '" + tok + "'");
+                inst.predDst = *pd;
+                break;
+              }
+              case Operand::Target:
+                target = next();
+                break;
+              case Operand::Address:
+                std::tie(inst.srcA, inst.imm) = parseAddress(line, i);
+                if (toks.size() - i != arity - k - 1)
+                    usage();
+                break;
+            }
+        }
+        builder.emit(inst, target);
     }
 
     std::string name_;

@@ -4,79 +4,26 @@
 
 namespace gpulat {
 
-const char *
-toString(Opcode op)
+const OpcodeInfo *
+findOpcode(std::string_view mnemonic)
 {
-    switch (op) {
-      case Opcode::NOP: return "nop";
-      case Opcode::EXIT: return "exit";
-      case Opcode::BAR: return "bar";
-      case Opcode::MOV: return "mov";
-      case Opcode::S2R: return "s2r";
-      case Opcode::CLOCK: return "clock";
-      case Opcode::IADD: return "iadd";
-      case Opcode::ISUB: return "isub";
-      case Opcode::IMUL: return "imul";
-      case Opcode::IMAD: return "imad";
-      case Opcode::SHL: return "shl";
-      case Opcode::SHR: return "shr";
-      case Opcode::AND: return "and";
-      case Opcode::OR: return "or";
-      case Opcode::XOR: return "xor";
-      case Opcode::IMIN: return "imin";
-      case Opcode::IMAX: return "imax";
-      case Opcode::FADD: return "fadd";
-      case Opcode::FMUL: return "fmul";
-      case Opcode::FFMA: return "ffma";
-      case Opcode::I2F: return "i2f";
-      case Opcode::F2I: return "f2i";
-      case Opcode::SETP: return "setp";
-      case Opcode::BRA: return "bra";
-      case Opcode::LD: return "ld";
-      case Opcode::ST: return "st";
-      case Opcode::ATOM: return "atom";
+    for (const OpcodeInfo &info : kOpcodes) {
+        if (mnemonic == info.mnemonic)
+            return &info;
     }
-    return "?";
+    return nullptr;
 }
 
-const char *
-toString(CmpOp cmp)
+std::vector<const char *>
+suffixSpellings(Opcode op)
 {
-    switch (cmp) {
-      case CmpOp::EQ: return "eq";
-      case CmpOp::NE: return "ne";
-      case CmpOp::LT: return "lt";
-      case CmpOp::LE: return "le";
-      case CmpOp::GT: return "gt";
-      case CmpOp::GE: return "ge";
-    }
-    return "?";
-}
-
-const char *
-toString(AtomOp op)
-{
-    switch (op) {
-      case AtomOp::Add: return "add";
-      case AtomOp::Max: return "max";
-      case AtomOp::Exch: return "exch";
-    }
-    return "?";
-}
-
-const char *
-toString(SpecialReg sreg)
-{
-    switch (sreg) {
-      case SpecialReg::Tid: return "tid";
-      case SpecialReg::Ctaid: return "ctaid";
-      case SpecialReg::Ntid: return "ntid";
-      case SpecialReg::Nctaid: return "nctaid";
-      case SpecialReg::LaneId: return "laneid";
-      case SpecialReg::WarpId: return "warpid";
-      case SpecialReg::SmId: return "smid";
-    }
-    return "?";
+    std::vector<const char *> texts;
+    const Instruction probe{.op = op};
+    visitSuffix(probe, [&](const auto &table, auto) {
+        for (const auto &s : table)
+            texts.push_back(s.text);
+    });
+    return texts;
 }
 
 std::string
@@ -87,80 +34,64 @@ disassemble(const Instruction &inst)
         oss << "@" << (inst.predNeg ? "!" : "") << "p" << inst.pred
             << " ";
 
-    switch (inst.op) {
-      case Opcode::NOP:
-      case Opcode::EXIT:
-      case Opcode::BAR:
-        oss << toString(inst.op);
-        break;
-      case Opcode::MOV:
-        oss << "mov r" << inst.dst << ", ";
-        if (inst.param != kNoReg)
-            oss << "param" << inst.param;
-        else if (inst.useImm)
-            oss << inst.imm;
-        else
+    const OpcodeInfo &info = opcodeInfo(inst.op);
+    oss << info.mnemonic;
+    visitSuffix(inst, [&](const auto &table, auto value) {
+        oss << "." << spell(table, value);
+    });
+    const char *sep = " ";
+    for (const Operand operand : info.shape) {
+        if (operand == Operand::None ||
+            (operand == Operand::Dep && inst.srcA == kNoReg))
+            break;
+        oss << sep;
+        sep = ", ";
+        switch (operand) {
+          case Operand::None:
+            break;
+          case Operand::Dst:
+            oss << "r" << inst.dst;
+            break;
+          case Operand::SrcA:
+          case Operand::Dep:
+            oss << "r" << inst.srcA;
+            break;
+          case Operand::SrcB:
             oss << "r" << inst.srcB;
-        break;
-      case Opcode::S2R:
-        oss << "s2r r" << inst.dst << ", " << toString(inst.sreg);
-        break;
-      case Opcode::CLOCK:
-        oss << "clock r" << inst.dst;
-        if (inst.srcA != kNoReg)
-            oss << ", r" << inst.srcA;
-        break;
-      case Opcode::IMAD:
-      case Opcode::FFMA:
-        oss << toString(inst.op) << " r" << inst.dst << ", r"
-            << inst.srcA << ", r" << inst.srcB << ", r" << inst.srcC;
-        break;
-      case Opcode::I2F:
-      case Opcode::F2I:
-        oss << toString(inst.op) << " r" << inst.dst << ", r"
-            << inst.srcA;
-        break;
-      case Opcode::SETP:
-        oss << "setp." << toString(inst.cmp) << " p" << inst.predDst
-            << ", r" << inst.srcA << ", ";
-        if (inst.useImm)
-            oss << inst.imm;
-        else
-            oss << "r" << inst.srcB;
-        break;
-      case Opcode::BRA:
-        oss << "bra " << inst.target;
-        if (inst.pred != kNoReg)
-            oss << " (reconv " << inst.reconv << ")";
-        break;
-      case Opcode::LD:
-        oss << "ld." << toString(inst.space) << " r" << inst.dst
-            << ", [r" << inst.srcA;
-        if (inst.imm)
-            oss << "+" << inst.imm;
-        oss << "]";
-        break;
-      case Opcode::ST:
-        oss << "st." << toString(inst.space) << " [r" << inst.srcA;
-        if (inst.imm)
-            oss << "+" << inst.imm;
-        oss << "], r" << inst.srcB;
-        break;
-      case Opcode::ATOM:
-        oss << "atom." << toString(inst.atomOp) << " r" << inst.dst
-            << ", [r" << inst.srcA;
-        if (inst.imm)
-            oss << "+" << inst.imm;
-        oss << "], r" << inst.srcB;
-        break;
-      default:
-        oss << toString(inst.op) << " r" << inst.dst << ", r"
-            << inst.srcA << ", ";
-        if (inst.useImm)
-            oss << inst.imm;
-        else
-            oss << "r" << inst.srcB;
-        break;
+            break;
+          case Operand::SrcC:
+            oss << "r" << inst.srcC;
+            break;
+          case Operand::MovSrc:
+            if (inst.param != kNoReg) {
+                oss << "param" << inst.param;
+                break;
+            }
+            [[fallthrough]];
+          case Operand::RegOrImm:
+            if (inst.useImm)
+                oss << inst.imm;
+            else
+                oss << "r" << inst.srcB;
+            break;
+          case Operand::Sreg:
+            oss << spell(kSpecialRegSpellings, inst.sreg);
+            break;
+          case Operand::PredDst:
+            oss << "p" << inst.predDst;
+            break;
+          case Operand::Target:
+            oss << inst.target;
+            if (inst.pred != kNoReg)
+                oss << " (reconv " << inst.reconv << ")";
+            break;
+          case Operand::Address:
+            oss << "[r" << inst.srcA;
+            if (inst.imm)
+                oss << "+" << inst.imm;
+            oss << "]";
+            break;
+        }
     }
     return oss.str();
 }

@@ -13,9 +13,13 @@
 #ifndef GPULAT_ISA_ISA_HH
 #define GPULAT_ISA_ISA_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/spelling.hh"
 #include "common/types.hh"
 
 namespace gpulat {
@@ -47,8 +51,21 @@ enum class Opcode : std::uint8_t {
 /** Atomic read-modify-write operations. */
 enum class AtomOp : std::uint8_t { Add, Max, Exch };
 
+/** `atom.op` suffix spellings. */
+inline constexpr Spelling<AtomOp> kAtomOpSpellings[] = {
+    {"add", AtomOp::Add},
+    {"max", AtomOp::Max},
+    {"exch", AtomOp::Exch},
+};
+
 /** SETP comparison operators (signed 64-bit). */
 enum class CmpOp : std::uint8_t { EQ, NE, LT, LE, GT, GE };
+
+/** `setp.cc` suffix spellings. */
+inline constexpr Spelling<CmpOp> kCmpOpSpellings[] = {
+    {"eq", CmpOp::EQ}, {"ne", CmpOp::NE}, {"lt", CmpOp::LT},
+    {"le", CmpOp::LE}, {"gt", CmpOp::GT}, {"ge", CmpOp::GE},
+};
 
 /** Special (read-only) registers readable via S2R. */
 enum class SpecialReg : std::uint8_t {
@@ -59,6 +76,14 @@ enum class SpecialReg : std::uint8_t {
     LaneId, ///< lane within warp
     WarpId, ///< warp within block
     SmId,   ///< SM executing this thread
+};
+
+/** `s2r` source spellings. */
+inline constexpr Spelling<SpecialReg> kSpecialRegSpellings[] = {
+    {"tid", SpecialReg::Tid},       {"ctaid", SpecialReg::Ctaid},
+    {"ntid", SpecialReg::Ntid},     {"nctaid", SpecialReg::Nctaid},
+    {"laneid", SpecialReg::LaneId}, {"warpid", SpecialReg::WarpId},
+    {"smid", SpecialReg::SmId},
 };
 
 /** Architectural limits of the ISA. */
@@ -118,6 +143,18 @@ struct Instruction
      */
     std::uint32_t reconv = 0;
 
+    /**
+     * The registers this instruction reads or writes: dst, srcA,
+     * srcB (unless an immediate takes its place) and srcC, kNoReg in
+     * an unused slot. The builder's register count, the launch check
+     * and the SM scoreboard all read this one footprint.
+     */
+    std::array<int, 4>
+    registers() const
+    {
+        return {dst, srcA, useImm ? kNoReg : srcB, srcC};
+    }
+
     /** True for LD/ST/ATOM. */
     bool
     isMemory() const
@@ -147,14 +184,117 @@ struct Instruction
     }
 };
 
-/** Mnemonic for an opcode ("iadd", "ld", ...). */
-const char *toString(Opcode op);
-/** Mnemonic for a comparison ("eq", ...). */
-const char *toString(CmpOp cmp);
-/** Mnemonic for an atomic op ("add", ...). */
-const char *toString(AtomOp op);
-/** Mnemonic for a special register ("tid", ...). */
-const char *toString(SpecialReg sreg);
+/** The enum an opcode's ".suffix" spells. */
+enum class Suffix : std::uint8_t { None, Cmp, Space, Atom };
+
+/** One operand slot of an opcode's shape, and the fields it fills. */
+enum class Operand : std::uint8_t {
+    None,     ///< no further operand
+    Dst,      ///< rd: dst
+    SrcA,     ///< ra: srcA
+    SrcB,     ///< rb: srcB
+    SrcC,     ///< rc: srcC
+    RegOrImm, ///< b: srcB, or imm with useImm
+    MovSrc,   ///< src: paramN (param), rb (srcB) or imm (useImm)
+    Sreg,     ///< sreg: sreg
+    PredDst,  ///< pd: predDst
+    Target,   ///< label: target, printed as a pc
+    Address,  ///< [ra+off]: srcA and imm
+    Dep,      ///< optional trailing rdep: srcA
+};
+
+/**
+ * What the assembler, disassemble() and the assembler fuzz know of
+ * one opcode: `mnemonic[.suffix] operands...`.
+ */
+struct OpcodeInfo
+{
+    Opcode op;
+    const char *mnemonic;
+    /** Operand slots in order, padded with Operand::None. */
+    std::array<Operand, 4> shape;
+    /** Usage text: what follows "mnemonic." (suffixed) or
+     *  "mnemonic " in a usage error; "" for no operands. */
+    const char *usage;
+    Suffix suffix = Suffix::None;
+};
+
+/** Every opcode, in enum order. */
+inline constexpr std::array<OpcodeInfo, 27> kOpcodes = [] {
+    using enum Operand;
+    return std::array<OpcodeInfo, 27>{{
+        {Opcode::NOP, "nop", {}, ""},
+        {Opcode::EXIT, "exit", {}, ""},
+        {Opcode::BAR, "bar", {}, ""},
+        {Opcode::MOV, "mov", {Dst, MovSrc}, "rd, src"},
+        {Opcode::S2R, "s2r", {Dst, Sreg}, "rd, sreg"},
+        {Opcode::CLOCK, "clock", {Dst, Dep}, "rd [, rdep]"},
+        {Opcode::IADD, "iadd", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::ISUB, "isub", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::IMUL, "imul", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::IMAD, "imad", {Dst, SrcA, SrcB, SrcC}, "rd, ra, rb, rc"},
+        {Opcode::SHL, "shl", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::SHR, "shr", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::AND, "and", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::OR, "or", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::XOR, "xor", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::IMIN, "imin", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::IMAX, "imax", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::FADD, "fadd", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::FMUL, "fmul", {Dst, SrcA, RegOrImm}, "rd, ra, b"},
+        {Opcode::FFMA, "ffma", {Dst, SrcA, SrcB, SrcC}, "rd, ra, rb, rc"},
+        {Opcode::I2F, "i2f", {Dst, SrcA}, "rd, ra"},
+        {Opcode::F2I, "f2i", {Dst, SrcA}, "rd, ra"},
+        {Opcode::SETP, "setp", {PredDst, SrcA, RegOrImm}, "cc pd, ra, b",
+         Suffix::Cmp},
+        {Opcode::BRA, "bra", {Target}, "label"},
+        {Opcode::LD, "ld", {Dst, Address}, "space rd, [ra+off]",
+         Suffix::Space},
+        {Opcode::ST, "st", {Address, SrcB}, "space [ra+off], rb",
+         Suffix::Space},
+        {Opcode::ATOM, "atom", {Dst, Address, SrcB},
+         "op rd, [ra+off], rb", Suffix::Atom},
+    }};
+}();
+
+/** The table row of @p op. */
+constexpr const OpcodeInfo &
+opcodeInfo(Opcode op)
+{
+    return kOpcodes[static_cast<std::size_t>(op)];
+}
+
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kOpcodes.size(); ++i) {
+            if (static_cast<std::size_t>(kOpcodes[i].op) != i)
+                return false;
+        }
+        return kOpcodes.back().op == Opcode::ATOM;
+    }(),
+    "kOpcodes lists every Opcode once, in enum order");
+
+/** The row whose mnemonic is @p mnemonic; nullptr if none. */
+const OpcodeInfo *findOpcode(std::string_view mnemonic);
+
+/**
+ * Call @p f(table, field) with the spelling table and the field of
+ * @p inst that its opcode's suffix names; no call for Suffix::None.
+ */
+template <typename I, typename F>
+void
+visitSuffix(I &inst, F &&f)
+{
+    switch (opcodeInfo(inst.op).suffix) {
+      case Suffix::None: return;
+      case Suffix::Cmp: f(kCmpOpSpellings, inst.cmp); return;
+      case Suffix::Space: f(kMemSpaceSpellings, inst.space); return;
+      case Suffix::Atom: f(kAtomOpSpellings, inst.atomOp); return;
+    }
+}
+
+/** The suffix spellings @p op takes, in table order. */
+std::vector<const char *> suffixSpellings(Opcode op);
 
 /** Render one instruction as assembler-like text (for tests/debug). */
 std::string disassemble(const Instruction &inst);

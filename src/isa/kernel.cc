@@ -66,20 +66,31 @@ class BitSet
 
 } // namespace
 
+int
+highestRegister(const std::vector<Instruction> &code)
+{
+    int highest = kNoReg;
+    for (const Instruction &inst : code) {
+        for (const int r : inst.registers())
+            highest = std::max(highest, r);
+    }
+    return highest;
+}
+
 KernelBuilder::KernelBuilder(std::string name) : name_(std::move(name)) {}
 
-Instruction &
-KernelBuilder::emit(Opcode op)
+KernelBuilder &
+KernelBuilder::emit(Instruction inst, const std::string &target_label)
 {
     GPULAT_ASSERT(!finalized_, "builder reused after finalize");
-    code_.emplace_back();
-    Instruction &inst = code_.back();
-    inst.op = op;
     inst.pred = pendingPred_;
     inst.predNeg = pendingPredNeg_;
     pendingPred_ = kNoReg;
     pendingPredNeg_ = false;
-    return inst;
+    if (!target_label.empty())
+        fixups_.emplace_back(pc(), target_label);
+    code_.push_back(inst);
+    return *this;
 }
 
 KernelBuilder &
@@ -95,43 +106,31 @@ KernelBuilder::pred(int p, bool negate)
 KernelBuilder &
 KernelBuilder::nop()
 {
-    emit(Opcode::NOP);
-    return *this;
+    return emit({.op = Opcode::NOP});
 }
 
 KernelBuilder &
 KernelBuilder::exit()
 {
-    emit(Opcode::EXIT);
-    return *this;
+    return emit({.op = Opcode::EXIT});
 }
 
 KernelBuilder &
 KernelBuilder::bar()
 {
-    emit(Opcode::BAR);
-    return *this;
+    return emit({.op = Opcode::BAR});
 }
 
 KernelBuilder &
 KernelBuilder::movImm(int rd, std::int64_t imm)
 {
-    Instruction &i = emit(Opcode::MOV);
-    i.dst = rd;
-    i.imm = imm;
-    i.useImm = true;
-    maxRegSeen_ = std::max(maxRegSeen_, rd);
-    return *this;
+    return emit({.op = Opcode::MOV, .dst = rd, .imm = imm, .useImm = true});
 }
 
 KernelBuilder &
 KernelBuilder::movReg(int rd, int rs)
 {
-    Instruction &i = emit(Opcode::MOV);
-    i.dst = rd;
-    i.srcB = rs;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, rs});
-    return *this;
+    return emit({.op = Opcode::MOV, .dst = rd, .srcB = rs});
 }
 
 KernelBuilder &
@@ -140,78 +139,46 @@ KernelBuilder::movParam(int rd, int param_idx)
     if (param_idx < 0 || param_idx >= kMaxParams)
         fatal("kernel '", name_, "': param", param_idx,
               " out of range");
-    Instruction &i = emit(Opcode::MOV);
-    i.dst = rd;
-    i.param = param_idx;
-    maxRegSeen_ = std::max(maxRegSeen_, rd);
-    return *this;
+    return emit({.op = Opcode::MOV, .dst = rd, .param = param_idx});
 }
 
 KernelBuilder &
 KernelBuilder::s2r(int rd, SpecialReg sr)
 {
-    Instruction &i = emit(Opcode::S2R);
-    i.dst = rd;
-    i.sreg = sr;
-    maxRegSeen_ = std::max(maxRegSeen_, rd);
-    return *this;
+    return emit({.op = Opcode::S2R, .dst = rd, .sreg = sr});
 }
 
 KernelBuilder &
 KernelBuilder::clock(int rd, int dep)
 {
-    Instruction &i = emit(Opcode::CLOCK);
-    i.dst = rd;
-    i.srcA = dep;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, dep});
-    return *this;
+    return emit({.op = Opcode::CLOCK, .dst = rd, .srcA = dep});
 }
 
 KernelBuilder &
 KernelBuilder::alu(Opcode op, int rd, int ra, int rb)
 {
-    Instruction &i = emit(op);
-    i.dst = rd;
-    i.srcA = ra;
-    i.srcB = rb;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, ra, rb});
-    return *this;
+    return emit({.op = op, .dst = rd, .srcA = ra, .srcB = rb});
 }
 
 KernelBuilder &
 KernelBuilder::aluImm(Opcode op, int rd, int ra, std::int64_t imm)
 {
-    Instruction &i = emit(op);
-    i.dst = rd;
-    i.srcA = ra;
-    i.imm = imm;
-    i.useImm = true;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, ra});
-    return *this;
+    return emit(
+        {.op = op, .dst = rd, .srcA = ra, .imm = imm, .useImm = true});
 }
 
 KernelBuilder &
 KernelBuilder::imad(int rd, int ra, int rb, int rc)
 {
-    Instruction &i = emit(Opcode::IMAD);
-    i.dst = rd;
-    i.srcA = ra;
-    i.srcB = rb;
-    i.srcC = rc;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, ra, rb, rc});
-    return *this;
+    return emit({.op = Opcode::IMAD, .dst = rd, .srcA = ra, .srcB = rb,
+                 .srcC = rc});
 }
 
 KernelBuilder &
 KernelBuilder::ffma(int rd, int ra, int rb, int rc)
 {
-    Instruction &i = emit(Opcode::FFMA);
-    i.dst = rd;
-    i.srcA = ra;
-    i.srcB = rb;
-    i.srcC = rc;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, ra, rb, rc});
-    return *this;
+    return emit({.op = Opcode::FFMA, .dst = rd, .srcA = ra, .srcB = rb,
+                 .srcC = rc});
 }
 
 KernelBuilder &
@@ -219,84 +186,49 @@ KernelBuilder::cvt(Opcode op, int rd, int ra)
 {
     GPULAT_ASSERT(op == Opcode::I2F || op == Opcode::F2I,
                   "cvt expects I2F/F2I");
-    Instruction &i = emit(op);
-    i.dst = rd;
-    i.srcA = ra;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, ra});
-    return *this;
+    return emit({.op = op, .dst = rd, .srcA = ra});
 }
 
 KernelBuilder &
 KernelBuilder::setp(CmpOp cmp, int pd, int ra, int rb)
 {
-    Instruction &i = emit(Opcode::SETP);
-    i.cmp = cmp;
-    i.predDst = pd;
-    i.srcA = ra;
-    i.srcB = rb;
-    maxRegSeen_ = std::max({maxRegSeen_, ra, rb});
-    return *this;
+    return emit({.op = Opcode::SETP, .srcA = ra, .srcB = rb, .cmp = cmp,
+                 .predDst = pd});
 }
 
 KernelBuilder &
 KernelBuilder::setpImm(CmpOp cmp, int pd, int ra, std::int64_t imm)
 {
-    Instruction &i = emit(Opcode::SETP);
-    i.cmp = cmp;
-    i.predDst = pd;
-    i.srcA = ra;
-    i.imm = imm;
-    i.useImm = true;
-    maxRegSeen_ = std::max(maxRegSeen_, ra);
-    return *this;
+    return emit({.op = Opcode::SETP, .srcA = ra, .imm = imm,
+                 .useImm = true, .cmp = cmp, .predDst = pd});
 }
 
 KernelBuilder &
 KernelBuilder::bra(const std::string &label)
 {
-    emit(Opcode::BRA);
-    fixups_.emplace_back(static_cast<std::uint32_t>(code_.size() - 1),
-                         label);
-    return *this;
+    return emit({.op = Opcode::BRA}, label);
 }
 
 KernelBuilder &
 KernelBuilder::ld(MemSpace space, int rd, int ra, std::int64_t offset)
 {
-    Instruction &i = emit(Opcode::LD);
-    i.space = space;
-    i.dst = rd;
-    i.srcA = ra;
-    i.imm = offset;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, ra});
-    return *this;
+    return emit({.op = Opcode::LD, .dst = rd, .srcA = ra, .imm = offset,
+                 .space = space});
 }
 
 KernelBuilder &
 KernelBuilder::st(MemSpace space, int ra, int rb, std::int64_t offset)
 {
-    Instruction &i = emit(Opcode::ST);
-    i.space = space;
-    i.srcA = ra;
-    i.srcB = rb;
-    i.imm = offset;
-    maxRegSeen_ = std::max({maxRegSeen_, ra, rb});
-    return *this;
+    return emit({.op = Opcode::ST, .srcA = ra, .srcB = rb, .imm = offset,
+                 .space = space});
 }
 
 KernelBuilder &
 KernelBuilder::atom(AtomOp op, int rd, int ra, int rb,
                     std::int64_t offset)
 {
-    Instruction &i = emit(Opcode::ATOM);
-    i.atomOp = op;
-    i.space = MemSpace::Global;
-    i.dst = rd;
-    i.srcA = ra;
-    i.srcB = rb;
-    i.imm = offset;
-    maxRegSeen_ = std::max({maxRegSeen_, rd, ra, rb});
-    return *this;
+    return emit({.op = Opcode::ATOM, .dst = rd, .srcA = ra, .srcB = rb,
+                 .imm = offset, .atomOp = op});
 }
 
 KernelBuilder &
@@ -337,21 +269,12 @@ KernelBuilder::validate() const
     if (!last.isExit() && !(last.isBranch() && last.pred == kNoReg))
         fatal("kernel '", name_, "' does not end in exit/bra");
 
-    auto check_reg = [&](int r, bool allow_none) {
-        if (r == kNoReg) {
-            GPULAT_ASSERT(allow_none, "missing register operand");
-            return;
-        }
-        if (r < 0 || r >= kNumRegs)
-            fatal("kernel '", name_, "': register r", r,
-                  " out of range");
-    };
-
     for (const auto &inst : code_) {
-        check_reg(inst.dst, true);
-        check_reg(inst.srcA, true);
-        check_reg(inst.srcB, true);
-        check_reg(inst.srcC, true);
+        for (const int r : inst.registers()) {
+            if (r != kNoReg && (r < 0 || r >= kNumRegs))
+                fatal("kernel '", name_, "': register r", r,
+                      " out of range");
+        }
         if (inst.isBranch() && inst.target >= code_.size())
             fatal("kernel '", name_, "': branch target ", inst.target,
                   " out of range");
@@ -445,9 +368,8 @@ KernelBuilder::finalize()
     k.name = name_;
     k.code = std::move(code_);
     k.sharedBytes = sharedBytes_;
-    k.numRegs = numRegs_ > 0 ? numRegs_ : maxRegSeen_ + 1;
-    if (k.numRegs <= 0)
-        k.numRegs = 1;
+    k.numRegs = numRegs_ > 0 ? numRegs_
+                             : std::max(highestRegister(k.code) + 1, 1);
     if (k.numRegs > kNumRegs)
         fatal("kernel '", name_, "' uses ", k.numRegs,
               " registers; ISA max is ", kNumRegs);

@@ -36,6 +36,9 @@ struct Kernel
     std::size_t size() const { return code.size(); }
 };
 
+/** The highest register @p code reads or writes; kNoReg if none. */
+int highestRegister(const std::vector<Instruction> &code);
+
 /**
  * Incrementally assembles a Kernel.
  *
@@ -75,6 +78,12 @@ class KernelBuilder
                       std::int64_t offset = 0);
     KernelBuilder &atom(AtomOp op, int rd, int ra, int rb,
                         std::int64_t offset = 0);
+    /**
+     * Append @p inst under the pending guard. A non-empty
+     * @p target_label becomes its branch target at finalize().
+     */
+    KernelBuilder &emit(Instruction inst,
+                        const std::string &target_label = "");
     /** @} */
 
     /** Bind @p name to the next emitted instruction's pc. */
@@ -83,7 +92,8 @@ class KernelBuilder
     /** Declare shared-memory usage (bytes). */
     KernelBuilder &shared(std::uint32_t bytes);
 
-    /** Declare per-thread register usage (defaults to max reg + 1). */
+    /** Declare per-thread register usage (defaults to the highest
+     *  register used + 1). */
     KernelBuilder &regs(int n);
 
     /** Number of instructions emitted so far (== next pc). */
@@ -102,7 +112,6 @@ class KernelBuilder
     }
 
   private:
-    Instruction &emit(Opcode op);
     void validate() const;
     void computeReconvergence();
 
@@ -116,10 +125,7 @@ class KernelBuilder
     bool pendingPredNeg_ = false;
     int numRegs_ = -1;
     std::uint32_t sharedBytes_ = 0;
-    int maxRegSeen_ = -1;
     bool finalized_ = false;
-
-    friend class KernelBuilderTestPeer;
 };
 
 } // namespace gpulat

@@ -37,7 +37,7 @@ MemPartition::MemPartition(unsigned id, const PartitionParams &params,
     const std::string prefix = "part" + std::to_string(id);
     if (params_.l2Enabled) {
         l2_ = std::make_unique<Cache>(prefix + ".l2", params_.l2Cache,
-                                      stats);
+                                      WritePolicy::WriteBack, stats);
     }
     l2Accesses_ = &stats->counter(prefix + ".l2_accesses");
     mshrBankConflicts_ =

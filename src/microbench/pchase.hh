@@ -17,10 +17,11 @@
 
 namespace gpulat {
 
-/** The spaces a chase runs in, as `pchase space=` spells them. */
+/** The spaces a chase runs in (`pchase space=`), as the ISA spells
+ *  them. */
 inline constexpr Spelling<MemSpace> kChaseSpaceSpellings[] = {
-    {"global", MemSpace::Global},
-    {"local", MemSpace::Local},
+    {spell(kMemSpaceSpellings, MemSpace::Global), MemSpace::Global},
+    {spell(kMemSpaceSpellings, MemSpace::Local), MemSpace::Local},
 };
 
 /** Parameters of one pointer-chase measurement. */

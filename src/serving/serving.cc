@@ -4,57 +4,9 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "isa/kernel.hh"
+#include "workloads/compute_stream.hh"
 
 namespace gpulat {
-
-namespace {
-
-/** FMA coefficient shared by every serving kernel. */
-constexpr double kCoef = 0.5;
-
-/**
- * Compute-stream-style kernel: y[i] = fma-chain(x[i]). Affine
- * addressing end to end, so analyzeSmParallelSafety() proves it
- * SM-parallel and derives a whole-grid footprint for cross-launch
- * conflict composition.
- */
-Kernel
-buildServeKernel(const std::string &name, unsigned fma_depth)
-{
-    KernelBuilder b(name);
-    b.s2r(0, SpecialReg::Tid);
-    b.s2r(1, SpecialReg::Ctaid);
-    b.s2r(2, SpecialReg::Ntid);
-    b.imad(0, 1, 2, 0);          // gid
-    b.movParam(3, 3);            // n
-    b.setp(CmpOp::GE, 0, 0, 3);
-    b.pred(0).bra("done");
-    b.aluImm(Opcode::SHL, 4, 0, 3);
-    b.movParam(5, 0);            // x
-    b.alu(Opcode::IADD, 5, 5, 4);
-    b.ld(MemSpace::Global, 6, 5);
-    b.movParam(7, 2);            // coefficient (double bits)
-    for (unsigned i = 0; i < fma_depth; ++i)
-        b.ffma(6, 6, 7, 7);      // v = v * c + c (dependent chain)
-    b.movParam(8, 1);            // y
-    b.alu(Opcode::IADD, 8, 8, 4);
-    b.st(MemSpace::Global, 8, 6);
-    b.label("done");
-    b.exit();
-    return b.finalize();
-}
-
-double
-expectedValue(double x, unsigned fma_depth)
-{
-    double v = x;
-    for (unsigned k = 0; k < fma_depth; ++k)
-        v = v * kCoef + kCoef;
-    return v;
-}
-
-} // namespace
 
 ServingSession::ServingSession(Gpu &gpu,
                                std::vector<TenantSpec> specs)
@@ -69,8 +21,10 @@ ServingSession::ServingSession(Gpu &gpu,
         GPULAT_ASSERT(spec.n > 0 && spec.buffers > 0 &&
                           spec.threadsPerBlock > 0,
                       "malformed tenant spec");
-        kernels_.push_back(std::make_unique<Kernel>(buildServeKernel(
-            "serve_t" + std::to_string(t), spec.fmaDepth)));
+        // Each tenant's kernel bears its own name in stall reports.
+        Kernel kernel = ComputeStream::buildKernel(spec.fmaDepth);
+        kernel.name = "serve_t" + std::to_string(t);
+        kernels_.push_back(std::make_unique<Kernel>(std::move(kernel)));
 
         const std::uint64_t bytes = spec.n * 8;
         deviceX_.push_back(gpu_.alloc(bytes));
@@ -95,7 +49,8 @@ ServingSession::ServingSession(Gpu &gpu,
             shape.numBlocks = blocks;
             shape.threadsPerBlock = tpb;
             shape.params = {deviceX_.back(), deviceY_.back()[j],
-                            std::bit_cast<RegValue>(kCoef), spec.n};
+                            std::bit_cast<RegValue>(ComputeStream::kCoef),
+                            spec.n};
             // Work estimate for sjf-est: threads x chain length
             // (+ fixed per-thread overhead).
             shape.estCost = static_cast<double>(blocks) * tpb *
@@ -158,7 +113,8 @@ ServingSession::verify() const
         for (unsigned j = 0; j < used; ++j) {
             gpu_.copyFromDevice(y.data(), deviceY_[t][j], spec.n * 8);
             for (std::uint64_t i = 0; i < spec.n; ++i)
-                if (y[i] != expectedValue(hostX_[t][i], spec.fmaDepth))
+                if (y[i] != ComputeStream::expected(hostX_[t][i],
+                                                    spec.fmaDepth))
                     return false;
         }
     }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hh"
@@ -46,7 +47,9 @@ SmCore::SmCore(const SmParams &params, DeviceMemory *dmem,
       partitionOf_(std::move(partition_of)),
       l1Mshr_(params.l1MshrEntries, params.l1MshrMaxMerge),
       lsuQueue_(params.lsuQueueSize, params.smBaseLatency),
-      missQueue_(params.l1MissQueueSize, params.l1MissLatency)
+      missQueue_(params.l1MissQueueSize, params.l1MissLatency),
+      hitQueue_(std::numeric_limits<std::size_t>::max(),
+                params.l1HitLatency)
 {
     GPULAT_ASSERT(dmem_ && stats_, "SM needs memory and stats");
     GPULAT_ASSERT(params_.numSchedulers > 0, "SM needs a scheduler");
@@ -62,7 +65,7 @@ SmCore::SmCore(const SmParams &params, DeviceMemory *dmem,
     const std::string prefix = "sm" + std::to_string(params_.smId);
     if (params_.l1Enabled) {
         l1_ = std::make_unique<Cache>(prefix + ".l1", params_.l1Cache,
-                                      stats_);
+                                      WritePolicy::WriteThrough, stats_);
     }
 
     for (unsigned s = 0; s < params_.numSchedulers; ++s) {
@@ -96,8 +99,8 @@ SmCore::startLaunch(const LaunchContext *ctx)
     deps_.clear();
     for (const Instruction &inst : ctx->kernel->code) {
         IssueDeps d;
-        d.regs = bit(inst.srcA) | (inst.useImm ? 0 : bit(inst.srcB)) |
-                 bit(inst.srcC) | bit(inst.dst);
+        for (const int r : inst.registers())
+            d.regs |= bit(r);
         d.guard = static_cast<std::uint8_t>(bit(inst.pred));
         if (inst.op == Opcode::SETP)
             d.predDst = static_cast<std::uint8_t>(bit(inst.predDst));
@@ -512,7 +515,7 @@ SmCore::execAlu(Warp &warp, const Instruction &inst, LaneMask guard,
         }
         break;
       default:
-        panic("execAlu on non-ALU opcode ", toString(inst.op));
+        panic("execAlu on non-ALU opcode ", opcodeInfo(inst.op).mnemonic);
     }
 
     if (inst.op == Opcode::SETP) {
@@ -717,10 +720,9 @@ SmCore::tickWriteback(Cycle now)
             warps_[wb.warpSlot].clearRegPending(wb.reg);
         freed = true;
     }
-    while (!hitWheel_.empty() && hitWheel_.begin()->first <= now) {
-        const Cycle at = hitWheel_.begin()->first;
-        HitDone done = hitWheel_.begin()->second;
-        hitWheel_.erase(hitWheel_.begin());
+    while (hitQueue_.headReady(now)) {
+        const Cycle at = hitQueue_.headReadyAt();
+        HitDone done = hitQueue_.pop();
         done.trace.complete = at;
         if (latShard_ && latCollector_->enabled())
             latShard_->record(done.trace);
@@ -797,8 +799,7 @@ SmCore::tickLsu(Cycle now)
             trace.issue = op.issueCycle;
             trace.l1Access = now;
             trace.hitLevel = HitLevel::L1;
-            hitWheel_.emplace(now + params_.l1HitLatency,
-                              HitDone{op.token, trace});
+            hitQueue_.push(now, HitDone{op.token, trace});
         } else if (l1Mshr_.pending(txn.lineAddr)) {
             const auto mshr = l1Mshr_.allocate(txn.lineAddr, op.token);
             if (mshr == MshrOutcome::FullMerges)
@@ -880,8 +881,7 @@ SmCore::nextEventAt(Cycle now) const
     Cycle e = kNoCycle;
     if (!regWheel_.empty())
         e = std::min(e, regWheel_.begin()->first);
-    if (!hitWheel_.empty())
-        e = std::min(e, hitWheel_.begin()->first);
+    e = std::min(e, hitQueue_.headReadyAt());
     e = std::min(e, lsuQueue_.headReadyAt());
     e = std::min(e, missQueue_.headReadyAt());
     return e;
@@ -954,7 +954,7 @@ SmCore::occupancySummary() const
         << " mshr=" << l1Mshr_.inFlight()
         << " loads=" << inflightCount_
         << " regwb=" << regWheel_.size()
-        << " hitwb=" << hitWheel_.size() << "}";
+        << " hitwb=" << hitQueue_.size() << "}";
     return oss.str();
 }
 
@@ -992,7 +992,7 @@ bool
 SmCore::drained() const
 {
     return lsuQueue_.empty() && missQueue_.empty() &&
-           hitWheel_.empty() && regWheel_.empty() &&
+           hitQueue_.empty() && regWheel_.empty() &&
            inflightCount_ == 0 && l1Mshr_.empty();
 }
 

@@ -235,8 +235,7 @@ class SmCore : public Clocked
     /** Scoreboard footprint of one instruction, decoded per launch. */
     struct IssueDeps
     {
-        /** Registers read or written: srcA, srcB (unless imm),
-         *  srcC, dst. */
+        /** Registers read or written (Instruction::registers()). */
         std::uint64_t regs = 0;
         /** Guard predicate. */
         std::uint8_t guard = 0;
@@ -329,7 +328,9 @@ class SmCore : public Clocked
     unsigned inflightCount_ = 0;
 
     std::multimap<Cycle, RegWb> regWheel_;
-    std::multimap<Cycle, HitDone> hitWheel_;
+    /** L1 hits in flight. Each completes l1HitLatency after its
+     *  probe, so they complete in FIFO order. */
+    TimedQueue<HitDone> hitQueue_;
 
     std::uint64_t idleCum_ = 0;
     /** Whether the most recent tick issued any instruction — the

@@ -35,6 +35,15 @@ ComputeStream::buildKernel(unsigned fma_depth)
     return b.finalize();
 }
 
+double
+ComputeStream::expected(double x, unsigned fma_depth)
+{
+    double v = x;
+    for (unsigned k = 0; k < fma_depth; ++k)
+        v = v * kCoef + kCoef;
+    return v;
+}
+
 WorkloadResult
 ComputeStream::run(Gpu &gpu)
 {
@@ -48,12 +57,11 @@ ComputeStream::run(Gpu &gpu)
     const Addr d_y = gpu.alloc(n * 8);
     gpu.copyToDevice(d_x, x.data(), n * 8);
 
-    const double c = 0.5;
     const unsigned tpb = opts_.threadsPerBlock;
     checkParam(tpb > 0, name(), "threadsPerBlock", "must be > 0");
     const auto blocks = static_cast<unsigned>((n + tpb - 1) / tpb);
     gpu.launch(buildKernel(opts_.fmaDepth), blocks, tpb,
-               {d_x, d_y, std::bit_cast<RegValue>(c), n});
+               {d_x, d_y, std::bit_cast<RegValue>(kCoef), n});
 
     std::vector<double> y(n);
     gpu.copyFromDevice(y.data(), d_y, n * 8);
@@ -61,10 +69,7 @@ ComputeStream::run(Gpu &gpu)
     WorkloadResult result;
     result.correct = true;
     for (std::uint64_t i = 0; i < n; ++i) {
-        double v = x[i];
-        for (unsigned k = 0; k < opts_.fmaDepth; ++k)
-            v = v * c + c;
-        if (y[i] != v) {
+        if (y[i] != expected(x[i], opts_.fmaDepth)) {
             result.correct = false;
             break;
         }

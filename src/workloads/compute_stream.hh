@@ -30,7 +30,19 @@ class ComputeStream : public Workload
     std::string name() const override { return "compute_stream"; }
     WorkloadResult run(Gpu &gpu) override;
 
+    /** The chain's coefficient c, passed as param2. */
+    static constexpr double kCoef = 0.5;
+
+    /**
+     * y[i] = chain(x[i]) over a grid of n threads; params: x, y,
+     * c's bits, n. Affine addressing end to end, so the footprint
+     * analysis proves it SM-parallel.
+     */
     static Kernel buildKernel(unsigned fma_depth);
+
+    /** What the kernel writes for input @p x: v = v * c + c,
+     *  @p fma_depth times. */
+    static double expected(double x, unsigned fma_depth);
 
   private:
     Options opts_;

@@ -6,10 +6,11 @@
  * build's ASan/UBSan job runs this file with the rest of ctest).
  *
  * AsmErrors pins each known bad input by message; AsmFuzz then
- * assembles seeded random programs of 1-6 lines drawn from a
- * hostile token pool: every mnemonic and directive, every operand
- * form, indices one past each ISA limit, and literals at and beyond
- * the 64-bit bounds.
+ * assembles seeded random programs of 1-6 lines. Each line is an
+ * opcode of the ISA table (src/isa/isa.hh) with one of its suffixes
+ * and operands of its shape, and one token in eight comes from a
+ * hostile pool: malformed mnemonics and directives, indices one past
+ * each ISA limit, and literals at and beyond the 64-bit bounds.
  */
 
 #include <cstdint>
@@ -65,6 +66,18 @@ TEST(AsmErrors, EveryBadInputNamesItsLine)
         {"ld.global r1, [r2], r3\nexit\n", "asm line 1: ld.space"},
         {"st.global [r1], r2, r3\nexit\n", "asm line 1: st.space"},
         {"atom.add r1, [r2], r3, r4\nexit\n", "asm line 1: atom.op"},
+        // Texts built from the ISA tables.
+        {"setp p0, r1, r2\nexit\n",
+         "asm line 1: setp needs .eq/.ne/.lt/.le/.gt/.ge"},
+        {"ld.bogus r1, [r2]\nexit\n",
+         "asm line 1: ld needs .global/.local/.shared"},
+        {"atom.sub r1, [r2], r3\nexit\n",
+         "asm line 1: atom needs .add/.max/.exch"},
+        {"setp.lt p0, r1\nexit\n", "asm line 1: setp.cc pd, ra, b"},
+        {"iadd r1, r2\nexit\n", "asm line 1: iadd rd, ra, b"},
+        {"clock\nexit\n", "asm line 1: clock rd [, rdep]"},
+        {"s2r r1, bogus\nexit\n",
+         "asm line 1: bad special register 'bogus'"},
         // Nothing to run.
         {"", "has no instructions"},
         {"x:\n", "has no instructions"},
@@ -96,27 +109,9 @@ TEST(AsmErrors, BoundaryLiteralsAssemble)
     EXPECT_EQ(k.numRegs, 64);
 }
 
-/** A mnemonic and the kinds of its operands: R register, P
- *  predicate, I register or immediate, M mov source, S special
- *  register, A address, L label. */
-struct Shape
-{
-    const char *op;
-    const char *operands;
-};
-
-const std::vector<Shape> kShapes{
-    {"nop", ""}, {"exit", ""}, {"bar", ""}, {"mov", "RM"},
-    {"s2r", "RS"}, {"clock", "R"}, {"clock", "RR"}, {"imad", "RRRR"},
-    {"ffma", "RRRR"}, {"i2f", "RR"}, {"f2i", "RR"}, {"setp.eq", "PRI"},
-    {"setp.ge", "PRI"}, {"bra", "L"}, {"ld.global", "RA"},
-    {"ld.local", "RA"}, {"ld.shared", "RA"}, {"st.global", "AR"},
-    {"st.shared", "AR"}, {"atom.add", "RAR"}, {"atom.exch", "RAR"},
-    {"iadd", "RRI"}, {"shl", "RRI"}, {"xor", "RRI"}, {"fmul", "RRI"}};
-
 /** Well-formed operands of each kind, edges included. */
 const std::vector<std::string> &
-validOperands(char kind)
+validOperands(Operand kind)
 {
     static const std::vector<std::string> regs{"r0", "r5", "r63"};
     static const std::vector<std::string> preds{"p0", "p7"};
@@ -125,27 +120,47 @@ validOperands(char kind)
         "-9223372036854775808"};
     static const std::vector<std::string> movs{
         "param0", "param15", "r1", "-5", "0x7fffffffffffffff"};
-    static const std::vector<std::string> sregs{"tid", "ctaid", "smid"};
+    static const std::vector<std::string> sregs = [] {
+        std::vector<std::string> texts;
+        for (const auto &s : kSpecialRegSpellings)
+            texts.push_back(s.text);
+        return texts;
+    }();
     static const std::vector<std::string> addrs{
         "[r1]", "[r1+8]", "[r2-8]", "[r3-9223372036854775808]"};
     static const std::vector<std::string> labels{"L0", "L1"};
     switch (kind) {
-      case 'R': return regs;
-      case 'P': return preds;
-      case 'I': return imms;
-      case 'M': return movs;
-      case 'S': return sregs;
-      case 'A': return addrs;
-      default: return labels;
+      case Operand::PredDst: return preds;
+      case Operand::RegOrImm: return imms;
+      case Operand::MovSrc: return movs;
+      case Operand::Sreg: return sregs;
+      case Operand::Address: return addrs;
+      case Operand::Target: return labels;
+      default: return regs;
     }
 }
 
-/** Mnemonics, guards and operands the assembler must refuse or
- *  read at their edge. */
-const std::vector<std::string> kHostileOps{
-    "setp", "setp.zz", "ld", "ld.bogus", "ld.", "st", "atom",
-    "atom.or", "bar.sync", "mov.u32", "iadd.", "frobnicate", ".", "@p0",
-    "L0:", ".regs", ".shared", ".kernel", ".bogus"};
+/**
+ * A token in @p info's mnemonic place that the assembler must
+ * refuse or read as something else: a suffix where none goes, a
+ * missing, empty or unknown one, a directive or a label.
+ */
+std::string
+hostileMnemonic(Rng &rng, const OpcodeInfo &info)
+{
+    static const std::vector<std::string> others{
+        "frobnicate", ".", "@p0", "L0:", ".regs", ".shared", ".kernel",
+        ".bogus"};
+    const std::string mnemonic = info.mnemonic;
+    switch (rng.below(3)) {
+      case 0:
+        return others[rng.below(others.size())];
+      case 1:
+        return info.suffix == Suffix::None ? mnemonic + ".u32" : mnemonic;
+      default:
+        return mnemonic + (rng.below(2) ? "." : ".zz");
+    }
+}
 
 const std::vector<std::string> kHostileOperands{
     "r64", "r-1", "r", "r1x", "r99999999999999999999", "p8", "p",
@@ -163,7 +178,10 @@ const std::vector<std::string> kGuards{
     "@p0", "@!p1", "@p7", "@p8", "@p9", "@", "@!", "@r1",
     "@p99999999999999999999"};
 
-/** One random line: mostly well-formed, one token in eight hostile. */
+/**
+ * One random line of a random opcode from the ISA table: mostly
+ * well-formed, one token in eight hostile.
+ */
 std::string
 randomLine(Rng &rng)
 {
@@ -179,14 +197,28 @@ randomLine(Rng &rng)
         line += hostile() ? pick(kGuards) : "@p0";
         line += ' ';
     }
-    const Shape &shape = kShapes[rng.below(kShapes.size())];
-    line += hostile() ? pick(kHostileOps) : shape.op;
+    const OpcodeInfo &info = kOpcodes[rng.below(kOpcodes.size())];
+    if (hostile()) {
+        line += hostileMnemonic(rng, info);
+    } else {
+        line += info.mnemonic;
+        const auto suffixes = suffixSpellings(info.op);
+        if (!suffixes.empty())
+            line += std::string(".") +
+                    suffixes[rng.below(suffixes.size())];
+    }
+    std::vector<Operand> operands;
+    for (const Operand kind : info.shape) {
+        if (kind == Operand::None ||
+            (kind == Operand::Dep && rng.below(2) == 0))
+            break;
+        operands.push_back(kind);
+    }
     // Now and then one operand too few or too many.
-    std::string operands = shape.operands;
     if (!operands.empty() && hostile())
         operands.pop_back();
     if (hostile())
-        operands += 'I';
+        operands.push_back(Operand::RegOrImm);
     for (std::size_t i = 0; i < operands.size(); ++i) {
         line += i == 0 ? " " : ", ";
         line += hostile() ? pick(kHostileOperands)

@@ -28,7 +28,7 @@ smallParams()
 TEST(Cache, MissThenFillThenHit)
 {
     StatRegistry stats;
-    Cache cache("c", smallParams(), &stats);
+    Cache cache("c", smallParams(), WritePolicy::WriteThrough, &stats);
     EXPECT_EQ(cache.access(0, false, 0), CacheOutcome::Miss);
     EXPECT_FALSE(cache.contains(0));
     cache.fill(0, 1);
@@ -41,7 +41,7 @@ TEST(Cache, MissThenFillThenHit)
 TEST(Cache, RejectsUnalignedAddress)
 {
     StatRegistry stats;
-    Cache cache("c", smallParams(), &stats);
+    Cache cache("c", smallParams(), WritePolicy::WriteThrough, &stats);
     EXPECT_THROW(cache.access(4, false, 0), PanicError);
 }
 
@@ -49,7 +49,7 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
 {
     StatRegistry stats;
     CacheParams p = smallParams(); // 8 sets, 4 ways
-    Cache cache("c", p, &stats);
+    Cache cache("c", p, WritePolicy::WriteThrough, &stats);
     const Addr set_stride = 8 * 128; // same set every 1KB
 
     // Fill one set's 4 ways at increasing times.
@@ -68,8 +68,7 @@ TEST(Cache, WriteThroughDoesNotAllocateOnWriteMiss)
 {
     StatRegistry stats;
     CacheParams p = smallParams();
-    p.write = WritePolicy::WriteThrough;
-    Cache cache("c", p, &stats);
+    Cache cache("c", p, WritePolicy::WriteThrough, &stats);
     EXPECT_EQ(cache.access(0, true, 0), CacheOutcome::WriteNoAllocate);
     EXPECT_FALSE(cache.contains(0));
     EXPECT_EQ(cache.misses(), 0u); // nothing waits on a write miss
@@ -79,9 +78,8 @@ TEST(Cache, WriteBackMarksDirtyAndEvictsDirty)
 {
     StatRegistry stats;
     CacheParams p = smallParams();
-    p.write = WritePolicy::WriteBack;
     p.ways = 1; // direct-mapped for deterministic eviction
-    Cache cache("c", p, &stats);
+    Cache cache("c", p, WritePolicy::WriteBack, &stats);
     const Addr conflict = p.capacityBytes; // same set as addr 0
 
     cache.fill(0, 0);
@@ -95,9 +93,8 @@ TEST(Cache, CleanEvictionYieldsNoWriteback)
 {
     StatRegistry stats;
     CacheParams p = smallParams();
-    p.write = WritePolicy::WriteBack;
     p.ways = 1;
-    Cache cache("c", p, &stats);
+    Cache cache("c", p, WritePolicy::WriteBack, &stats);
     cache.fill(0, 0);
     EXPECT_FALSE(cache.fill(p.capacityBytes, 1).has_value());
 }
@@ -105,7 +102,7 @@ TEST(Cache, CleanEvictionYieldsNoWriteback)
 TEST(Cache, FillIsIdempotentForPresentLine)
 {
     StatRegistry stats;
-    Cache cache("c", smallParams(), &stats);
+    Cache cache("c", smallParams(), WritePolicy::WriteThrough, &stats);
     cache.fill(128, 0);
     EXPECT_FALSE(cache.fill(128, 1).has_value());
     EXPECT_TRUE(cache.contains(128));
@@ -115,7 +112,7 @@ TEST(Cache, CapacityWorkingSetFitsExactly)
 {
     StatRegistry stats;
     CacheParams p = smallParams();
-    Cache cache("c", p, &stats);
+    Cache cache("c", p, WritePolicy::WriteThrough, &stats);
     const Addr lines = p.capacityBytes / p.lineBytes;
     for (Addr i = 0; i < lines; ++i)
         cache.fill(i * 128, i);
@@ -132,7 +129,7 @@ TEST(CacheProperty, MatchesReferenceLruModel)
 {
     StatRegistry stats;
     CacheParams p = smallParams();
-    Cache cache("c", p, &stats);
+    Cache cache("c", p, WritePolicy::WriteThrough, &stats);
 
     const std::size_t sets = p.sets();
     std::map<std::size_t, std::vector<Addr>> ref; // MRU front
@@ -178,7 +175,7 @@ TEST_P(CacheGeometries, MatchesReferenceLruModel)
     p.capacityBytes = GetParam().first;
     p.lineBytes = 128;
     p.ways = GetParam().second;
-    Cache cache("c", p, &stats);
+    Cache cache("c", p, WritePolicy::WriteThrough, &stats);
 
     const std::size_t sets = p.sets();
     std::map<std::size_t, std::vector<Addr>> ref;

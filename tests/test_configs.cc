@@ -50,18 +50,6 @@ TEST(Config, Gf100MatchesThePapersMachine)
     EXPECT_EQ(cfg.partition.sched, DramSchedPolicy::FRFCFS);
 }
 
-TEST(Config, L2WritePolicyIsWriteBackEverywhere)
-{
-    for (const char *name :
-         {"gf106", "gk104", "gm107", "gf100-sim"}) {
-        const GpuConfig cfg = makeConfig(name);
-        EXPECT_EQ(cfg.partition.l2Cache.write, WritePolicy::WriteBack)
-            << name;
-        EXPECT_EQ(cfg.sm.l1Cache.write, WritePolicy::WriteThrough)
-            << name;
-    }
-}
-
 TEST(LaunchValidation, TooManyParamsIsFatal)
 {
     Gpu gpu(makeGF106());
@@ -317,6 +305,10 @@ TEST(Validation, EveryBadInputExitsTwoByName)
         set("dramClock=4294967297/1"),
         set("sm.warpSlots=0x10"),
         set("sm.warpSlots=+16"),
+        // No key selects a write policy: the L1 is write-through and
+        // the L2 write-back by construction.
+        set("sm.l1Cache.write=writeback"),
+        set("partition.l2Cache.write=writethrough"),
         cell("gf106", "vecadd", {"n=1024", "threadsPerBlock=4294967328"},
              "threadsPerBlock"),
         cell("gf106", "serve.mixed", {"load=nan"}, "load"),

@@ -1,8 +1,14 @@
 /**
  * @file
- * Unit tests for the ISA: assembler syntax, builder validation,
- * CFG/reconvergence analysis and the disassembler.
+ * Unit tests for the ISA: its spelling and opcode tables, assembler
+ * syntax, builder validation, CFG/reconvergence analysis and the
+ * disassembler.
  */
+
+#include <array>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -284,6 +290,117 @@ TEST(Instruction, ClassificationHelpers)
     EXPECT_TRUE(k.code[2].isFloat());
     EXPECT_TRUE(k.code[3].isBarrier());
     EXPECT_TRUE(k.code[4].isExit());
+}
+
+TEST(Instruction, RegistersSkipAnImmediateOperand)
+{
+    const Kernel k = assemble("iadd r1, r2, 7\n"
+                              "st.global [r3+8], r4\n"
+                              "clock r5\n"
+                              "exit\n");
+    using Regs = std::array<int, 4>;
+    EXPECT_EQ(k.code[0].registers(), (Regs{1, 2, kNoReg, kNoReg}));
+    EXPECT_EQ(k.code[1].registers(), (Regs{kNoReg, 3, 4, kNoReg}));
+    EXPECT_EQ(k.code[2].registers(), (Regs{5, kNoReg, kNoReg, kNoReg}));
+    EXPECT_EQ(k.numRegs, 6);
+    // An immediate hides a hand-set srcB too.
+    const Instruction imm{.op = Opcode::IADD, .dst = 1, .srcA = 2,
+                          .srcB = 9, .imm = 7, .useImm = true};
+    EXPECT_EQ(imm.registers(), (Regs{1, 2, kNoReg, kNoReg}));
+}
+
+/** The instruction @p line assembles to. */
+Instruction
+first(const std::string &line)
+{
+    return assemble(line + "\nL: exit\n").code[0];
+}
+
+TEST(IsaTables, EverySpellingParsesBackToItsValue)
+{
+    for (const OpcodeInfo &info : kOpcodes)
+        EXPECT_EQ(findOpcode(info.mnemonic), &info) << info.mnemonic;
+
+    EXPECT_EQ(std::size(kCmpOpSpellings),
+              static_cast<std::size_t>(CmpOp::GE) + 1);
+    for (const auto &[text, value] : kCmpOpSpellings)
+        EXPECT_EQ(first(std::string("setp.") + text + " p0, r1, r2").cmp,
+                  value) << text;
+    EXPECT_EQ(std::size(kMemSpaceSpellings),
+              static_cast<std::size_t>(MemSpace::Shared) + 1);
+    for (const auto &[text, value] : kMemSpaceSpellings)
+        EXPECT_EQ(first(std::string("ld.") + text + " r1, [r2]").space,
+                  value) << text;
+    EXPECT_EQ(std::size(kAtomOpSpellings),
+              static_cast<std::size_t>(AtomOp::Exch) + 1);
+    for (const auto &[text, value] : kAtomOpSpellings)
+        EXPECT_EQ(first(std::string("atom.") + text + " r1, [r2], r3")
+                      .atomOp,
+                  value) << text;
+    EXPECT_EQ(std::size(kSpecialRegSpellings),
+              static_cast<std::size_t>(SpecialReg::SmId) + 1);
+    for (const auto &[text, value] : kSpecialRegSpellings)
+        EXPECT_EQ(first(std::string("s2r r1, ") + text).sreg, value)
+            << text;
+}
+
+/** Canonical texts of an operand kind; "" leaves it out. */
+std::vector<std::string>
+canonical(Operand kind)
+{
+    switch (kind) {
+      case Operand::None: return {};
+      case Operand::Dst: return {"r1"};
+      case Operand::SrcA: return {"r2"};
+      case Operand::SrcB: return {"r3"};
+      case Operand::SrcC: return {"r4"};
+      case Operand::RegOrImm: return {"r3", "-7"};
+      case Operand::MovSrc: return {"param2", "r3", "-7"};
+      case Operand::PredDst: return {"p1"};
+      case Operand::Target: return {"L"};
+      case Operand::Address: return {"[r2]", "[r2+8]"};
+      case Operand::Dep: return {"", "r2"};
+      case Operand::Sreg: {
+        std::vector<std::string> texts;
+        for (const auto &s : kSpecialRegSpellings)
+            texts.push_back(s.text);
+        return texts;
+      }
+    }
+    return {};
+}
+
+TEST(IsaTables, EveryOpcodeDisassemblesToTheTextThatAssemblesIt)
+{
+    for (const OpcodeInfo &info : kOpcodes) {
+        std::vector<std::string> lines;
+        for (const char *suffix : suffixSpellings(info.op))
+            lines.push_back(std::string(info.mnemonic) + "." + suffix);
+        if (lines.empty())
+            lines.push_back(info.mnemonic);
+        // Every combination of the shape's canonical operands.
+        for (const Operand kind : info.shape) {
+            if (kind == Operand::None)
+                break;
+            std::vector<std::string> longer;
+            for (const std::string &line : lines) {
+                for (const std::string &text : canonical(kind)) {
+                    const char *sep =
+                        line.find(' ') == std::string::npos ? " " : ", ";
+                    longer.push_back(text.empty() ? line
+                                                  : line + sep + text);
+                }
+            }
+            lines = std::move(longer);
+        }
+        for (const std::string &line : lines) {
+            const Instruction inst = first(line);
+            EXPECT_EQ(inst.op, info.op) << line;
+            // A branch prints its target's pc, not its label.
+            EXPECT_EQ(disassemble(inst),
+                      info.op == Opcode::BRA ? "bra 1" : line);
+        }
+    }
 }
 
 } // namespace

@@ -25,7 +25,6 @@ testParams()
     p.l2Cache.capacityBytes = 4 * 1024;
     p.l2Cache.lineBytes = 128;
     p.l2Cache.ways = 4;
-    p.l2Cache.write = WritePolicy::WriteBack;
     p.l2QueueSize = 8;
     p.l2QueueLatency = 1;
     p.l2HitLatency = 10;
