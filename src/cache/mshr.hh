@@ -14,6 +14,12 @@
  * structural stalls even while the table has global headroom. The
  * default single-bank shape with a whole-table entry budget behaves
  * exactly like the original flat table.
+ *
+ * Storage is a flat slot table: the in-flight lines sit packed at
+ * the front, each with its payload vector. A released slot keeps its
+ * vector's capacity for the next allocation, and the table grows to
+ * the in-flight high-water mark, never to the configured entry
+ * count (which may be 2^32-1), so a warm table allocates nothing.
  */
 
 #ifndef GPULAT_CACHE_MSHR_HH
@@ -21,7 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -83,7 +89,7 @@ class MshrTable
     bool
     canAllocate(Addr line) const
     {
-        return table_.size() < entries_ &&
+        return inFlight_ < entries_ &&
                bankInFlight_[bankOf(line)] < bankEntries_;
     }
 
@@ -91,49 +97,60 @@ class MshrTable
     MshrOutcome
     allocate(Addr line, Payload payload)
     {
-        auto it = table_.find(line);
-        if (it != table_.end()) {
-            if (it->second.size() >= maxMerge_)
+        const std::size_t i = find(line);
+        if (i != inFlight_) {
+            if (payloads_[i].size() >= maxMerge_)
                 return MshrOutcome::FullMerges;
-            it->second.push_back(std::move(payload));
+            payloads_[i].push_back(std::move(payload));
             return MshrOutcome::Merged;
         }
         if (!canAllocate(line))
             return MshrOutcome::FullEntries;
-        table_[line].push_back(std::move(payload));
+        if (inFlight_ == lines_.size()) {
+            lines_.emplace_back();
+            payloads_.emplace_back();
+        }
+        lines_[inFlight_] = line;
+        payloads_[inFlight_].push_back(std::move(payload));
+        ++inFlight_;
         ++bankInFlight_[bankOf(line)];
         return MshrOutcome::NewEntry;
     }
 
     /** True if a miss on @p line is already in flight. */
-    bool pending(Addr line) const { return table_.count(line) != 0; }
+    bool pending(Addr line) const { return find(line) != inFlight_; }
 
     /** Number of payloads parked on @p line (0 if none). */
     std::size_t
     peekCount(Addr line) const
     {
-        auto it = table_.find(line);
-        return it == table_.end() ? 0 : it->second.size();
+        const std::size_t i = find(line);
+        return i == inFlight_ ? 0 : payloads_[i].size();
     }
 
     /**
      * The downstream fill for @p line arrived: release the entry and
-     * return all merged payloads (primary first).
+     * return all merged payloads (primary first). The payloads stay
+     * valid, and may be moved from, until the next release().
      */
-    std::vector<Payload>
+    std::vector<Payload> &
     release(Addr line)
     {
-        auto it = table_.find(line);
-        GPULAT_ASSERT(it != table_.end(),
-                      "MSHR release of untracked line");
-        std::vector<Payload> payloads = std::move(it->second);
-        table_.erase(it);
+        const std::size_t i = find(line);
+        GPULAT_ASSERT(i != inFlight_, "MSHR release of untracked line");
+        // Hand the entry's vector out and park the previous release's
+        // storage in the freed slot, which the last live slot fills.
+        released_.swap(payloads_[i]);
+        payloads_[i].clear();
+        --inFlight_;
+        std::swap(lines_[i], lines_[inFlight_]);
+        std::swap(payloads_[i], payloads_[inFlight_]);
         --bankInFlight_[bankOf(line)];
-        return payloads;
+        return released_;
     }
 
-    std::size_t inFlight() const { return table_.size(); }
-    bool empty() const { return table_.empty(); }
+    std::size_t inFlight() const { return inFlight_; }
+    bool empty() const { return inFlight_ == 0; }
     std::size_t capacity() const { return entries_; }
     unsigned banks() const { return banks_; }
     std::size_t bankCapacity() const { return bankEntries_; }
@@ -146,13 +163,29 @@ class MshrTable
     }
 
   private:
+    /** Slot holding @p line, or inFlight_ if none does. */
+    std::size_t
+    find(Addr line) const
+    {
+        std::size_t i = 0;
+        while (i < inFlight_ && lines_[i] != line)
+            ++i;
+        return i;
+    }
+
     std::size_t entries_;
     std::size_t maxMerge_;
     unsigned banks_;
     std::size_t bankEntries_;
     std::uint32_t lineBytes_;
     std::vector<std::size_t> bankInFlight_;
-    std::unordered_map<Addr, std::vector<Payload>> table_;
+    /** Slots [0, inFlight_) are live: a line and its payloads,
+     *  primary first. */
+    std::vector<Addr> lines_;
+    std::vector<std::vector<Payload>> payloads_;
+    std::size_t inFlight_ = 0;
+    /** The last release()'s payloads. */
+    std::vector<Payload> released_;
 };
 
 } // namespace gpulat

@@ -13,8 +13,8 @@
 #define GPULAT_COMMON_QUEUE_HH
 
 #include <cstddef>
-#include <deque>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -24,7 +24,13 @@ namespace gpulat {
 /**
  * Bounded FIFO with per-entry ready times.
  *
- * @tparam T payload type (moved in/out).
+ * The entries live in a power-of-two ring that doubles when a push
+ * finds it full and never shrinks, so it grows to the queue's
+ * high-water mark, not to its capacity (which may be SIZE_MAX), and
+ * a queue in steady state allocates nothing. A popped slot keeps its
+ * moved-from payload until a later push overwrites it.
+ *
+ * @tparam T payload type (default-constructible; moved in/out).
  */
 template <typename T>
 class TimedQueue
@@ -41,13 +47,13 @@ class TimedQueue
     }
 
     /** True if another entry can be accepted this cycle. */
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return size_ >= capacity_; }
 
     /** True if no entries are in flight. */
-    bool empty() const { return entries_.empty(); }
+    bool empty() const { return size_ == 0; }
 
     /** Number of in-flight entries. */
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return size_; }
 
     /** Configured capacity. */
     std::size_t capacity() const { return capacity_; }
@@ -64,7 +70,11 @@ class TimedQueue
     {
         if (full())
             return false;
-        entries_.push_back(Entry{now + minLatency_, std::move(value)});
+        if (size_ == ring_.size())
+            grow();
+        ring_[(head_ + size_) & (ring_.size() - 1)] =
+            Entry{now + minLatency_, std::move(value)};
+        ++size_;
         return true;
     }
 
@@ -72,27 +82,28 @@ class TimedQueue
     bool
     headReady(Cycle now) const
     {
-        return !entries_.empty() && entries_.front().readyAt <= now;
+        return size_ != 0 && ring_[head_].readyAt <= now;
     }
 
     /** Peek the head payload; undefined if empty. */
-    const T &front() const { return entries_.front().value; }
-    T &front() { return entries_.front().value; }
+    const T &front() const { return ring_[head_].value; }
+    T &front() { return ring_[head_].value; }
 
     /** Cycle at which the head becomes poppable; kNoCycle if empty. */
     Cycle
     headReadyAt() const
     {
-        return entries_.empty() ? kNoCycle : entries_.front().readyAt;
+        return size_ == 0 ? kNoCycle : ring_[head_].readyAt;
     }
 
     /** Pop and return the head payload; undefined if !headReady. */
     T
     pop()
     {
-        GPULAT_ASSERT(!entries_.empty(), "pop from empty queue");
-        T v = std::move(entries_.front().value);
-        entries_.pop_front();
+        GPULAT_ASSERT(size_ != 0, "pop from empty queue");
+        T v = std::move(ring_[head_].value);
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --size_;
         return v;
     }
 
@@ -103,9 +114,23 @@ class TimedQueue
         T value;
     };
 
+    /** Double the ring (from one slot), unrolling the entries to
+     *  the front of the new one. */
+    void
+    grow()
+    {
+        std::vector<Entry> bigger(ring_.empty() ? 1 : 2 * ring_.size());
+        for (std::size_t i = 0; i < size_; ++i)
+            bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+        ring_.swap(bigger);
+        head_ = 0;
+    }
+
     std::size_t capacity_;
     Cycle minLatency_;
-    std::deque<Entry> entries_;
+    std::vector<Entry> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace gpulat

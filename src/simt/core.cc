@@ -31,6 +31,11 @@ asInt(RegValue v)
     return static_cast<std::int64_t>(v);
 }
 
+/** Heap order of SmCore::regWheel_: the earliest writeback on top. */
+constexpr auto kLaterWb = [](const auto &a, const auto &b) {
+    return a.at > b.at;
+};
+
 } // namespace
 
 SmCore::SmCore(const SmParams &params, DeviceMemory *dmem,
@@ -229,14 +234,23 @@ SmCore::operandB(const Warp &warp, const Instruction &inst,
 }
 
 void
-SmCore::scheduleRegWb(Cycle at, unsigned warp_slot, int reg,
+SmCore::scheduleRegWb(Cycle at, const Warp &warp, int reg,
                       bool is_pred)
 {
-    regWheel_.emplace(at, RegWb{warp_slot, reg, is_pred});
+    regWheel_.push_back(
+        RegWb{at, warp.dispatchSeq(), warp.slot(), reg, is_pred});
+    std::push_heap(regWheel_.begin(), regWheel_.end(), kLaterWb);
+}
+
+Warp *
+SmCore::issuer(unsigned slot, std::uint64_t seq)
+{
+    Warp &warp = warps_[slot];
+    return warp.dispatchSeq() == seq ? &warp : nullptr;
 }
 
 LoadToken
-SmCore::allocToken(unsigned warp_slot, int dest, unsigned txns,
+SmCore::allocToken(const Warp &warp, int dest, unsigned txns,
                    Cycle now)
 {
     LoadToken token;
@@ -249,7 +263,8 @@ SmCore::allocToken(unsigned warp_slot, int dest, unsigned txns,
     }
     InflightLoad &load = inflight_[static_cast<std::size_t>(token)];
     load.valid = true;
-    load.warpSlot = warp_slot;
+    load.warpSlot = warp.slot();
+    load.warpSeq = warp.dispatchSeq();
     load.destReg = dest;
     load.pendingTxns = txns;
     load.issueCycle = now;
@@ -268,7 +283,8 @@ SmCore::completeLoadTxn(LoadToken token, Cycle now)
     if (--load.pendingTxns > 0)
         return false;
 
-    warps_[load.warpSlot].clearRegPending(load.destReg);
+    if (Warp *warp = issuer(load.warpSlot, load.warpSeq))
+        warp->clearRegPending(load.destReg);
     loadsCompleted_->inc();
     if (expShard_) {
         const Cycle total = now - load.issueCycle;
@@ -520,10 +536,10 @@ SmCore::execAlu(Warp &warp, const Instruction &inst, LaneMask guard,
 
     if (inst.op == Opcode::SETP) {
         warp.markPredPending(inst.predDst);
-        scheduleRegWb(now + latency, warp.slot(), inst.predDst, true);
+        scheduleRegWb(now + latency, warp, inst.predDst, true);
     } else if (inst.dst != kNoReg) {
         warp.markRegPending(inst.dst);
-        scheduleRegWb(now + latency, warp.slot(), inst.dst, false);
+        scheduleRegWb(now + latency, warp, inst.dst, false);
     }
     warp.advance();
 }
@@ -559,7 +575,7 @@ SmCore::execSharedMem(Warp &warp, const Instruction &inst,
             warp.setReg(lane, inst.dst, v);
         }
         warp.markRegPending(inst.dst);
-        scheduleRegWb(now + latency, warp.slot(), inst.dst, false);
+        scheduleRegWb(now + latency, warp, inst.dst, false);
     } else {
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             if (!(guard >> lane & 1))
@@ -630,7 +646,7 @@ SmCore::execGlobalMem(Warp &warp, const Instruction &inst,
     }
     op.issueCycle = now;
     if (op.isLoad) {
-        op.token = allocToken(warp.slot(), inst.dst,
+        op.token = allocToken(warp, inst.dst,
                               static_cast<unsigned>(op.txns.size()),
                               now);
         warp.markRegPending(inst.dst, true);
@@ -711,13 +727,17 @@ bool
 SmCore::tickWriteback(Cycle now)
 {
     bool freed = false;
-    while (!regWheel_.empty() && regWheel_.begin()->first <= now) {
-        const RegWb wb = regWheel_.begin()->second;
-        regWheel_.erase(regWheel_.begin());
+    while (!regWheel_.empty() && regWheel_.front().at <= now) {
+        std::pop_heap(regWheel_.begin(), regWheel_.end(), kLaterWb);
+        const RegWb wb = regWheel_.back();
+        regWheel_.pop_back();
+        Warp *warp = issuer(wb.warpSlot, wb.warpSeq);
+        if (!warp)
+            continue;
         if (wb.isPred)
-            warps_[wb.warpSlot].clearPredPending(wb.reg);
+            warp->clearPredPending(wb.reg);
         else
-            warps_[wb.warpSlot].clearRegPending(wb.reg);
+            warp->clearRegPending(wb.reg);
         freed = true;
     }
     while (hitQueue_.headReady(now)) {
@@ -880,7 +900,7 @@ SmCore::nextEventAt(Cycle now) const
         return now;
     Cycle e = kNoCycle;
     if (!regWheel_.empty())
-        e = std::min(e, regWheel_.begin()->first);
+        e = std::min(e, regWheel_.front().at);
     e = std::min(e, hitQueue_.headReadyAt());
     e = std::min(e, lsuQueue_.headReadyAt());
     e = std::min(e, missQueue_.headReadyAt());
@@ -979,10 +999,12 @@ SmCore::acceptResponse(Cycle now, MemRequest req)
             // before any SM group ticks this cycle).
             const InflightLoad &load =
                 inflight_[static_cast<std::size_t>(req.token)];
-            if (load.valid)
-                warps_[load.warpSlot].setReg(req.atomLane,
-                                             load.destReg,
-                                             req.atomResult);
+            Warp *warp = load.valid
+                ? issuer(load.warpSlot, load.warpSeq)
+                : nullptr;
+            if (warp)
+                warp->setReg(req.atomLane, load.destReg,
+                             req.atomResult);
         }
         completeLoadTxn(req.token, now);
     }

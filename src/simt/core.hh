@@ -16,7 +16,6 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -186,10 +185,12 @@ class SmCore : public Clocked
         std::vector<std::uint8_t> sharedMem;
     };
 
+    /** A load in flight, tagged with its warp (see issuer()). */
     struct InflightLoad
     {
         bool valid = false;
         unsigned warpSlot = 0;
+        std::uint64_t warpSeq = 0;
         int destReg = kNoReg;
         unsigned pendingTxns = 0;
         Cycle issueCycle = 0;
@@ -217,9 +218,11 @@ class SmCore : public Clocked
         std::vector<AtomLane> atomLanes;
     };
 
-    /** Pending scoreboard writeback. */
+    /** Pending scoreboard writeback, tagged with its warp. */
     struct RegWb
     {
+        Cycle at;
+        std::uint64_t warpSeq;
         unsigned warpSlot;
         int reg;
         bool isPred;
@@ -277,10 +280,17 @@ class SmCore : public Clocked
                       unsigned lane) const;
     std::uint64_t globalThreadId(const Warp &warp, unsigned lane) const;
     Addr localPhys(Addr offset, std::uint64_t gtid) const;
-    void scheduleRegWb(Cycle at, unsigned warp_slot, int reg,
+    void scheduleRegWb(Cycle at, const Warp &warp, int reg,
                        bool is_pred);
-    LoadToken allocToken(unsigned warp_slot, int dest, unsigned txns,
+    LoadToken allocToken(const Warp &warp, int dest, unsigned txns,
                          Cycle now);
+    /**
+     * The warp in @p slot if it is still the one dispatched as
+     * @p seq, else null. EXIT waits on no register, so a warp can
+     * retire with a writeback, load or atomic in flight, and its
+     * slot can hold a younger warp when the completion lands.
+     */
+    Warp *issuer(unsigned slot, std::uint64_t seq);
     /** @return true if this was the load's last transaction (its
      *  destination register is now free). */
     bool completeLoadTxn(LoadToken token, Cycle now);
@@ -327,7 +337,11 @@ class SmCore : public Clocked
     std::vector<LoadToken> freeTokens_;
     unsigned inflightCount_ = 0;
 
-    std::multimap<Cycle, RegWb> regWheel_;
+    /** Scoreboard writebacks in flight: a binary min-heap on `at`.
+     *  Pops within one cycle come in no fixed order, which is safe:
+     *  each clears one scoreboard bit, and canIssue() refuses a
+     *  pending destination, so no register has two in flight. */
+    std::vector<RegWb> regWheel_;
     /** L1 hits in flight. Each completes l1HitLatency after its
      *  probe, so they complete in FIFO order. */
     TimedQueue<HitDone> hitQueue_;

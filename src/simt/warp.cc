@@ -15,7 +15,6 @@ Warp::init(unsigned warp_slot, unsigned warp_in_block,
     live_ = live;
     stack_.clear();
     stack_.push_back(StackEntry{0, kNoReconv, live});
-    numRegs_ = num_regs;
     regs_.assign(static_cast<std::size_t>(kWarpSize) *
                  static_cast<std::size_t>(num_regs), 0);
     preds_.fill(0);

@@ -121,19 +121,19 @@ class Warp
     /** Stack depth (tests/diagnostics). */
     std::size_t stackDepth() const { return stack_.size(); }
 
-    /** @name Register file access @{ */
+    /** @name Register file access
+     * Register-major: the 32 lanes of one register are contiguous,
+     * so an instruction's lane loop walks one 256-byte run. @{ */
     RegValue
     reg(unsigned lane, int r) const
     {
-        return regs_[lane * static_cast<unsigned>(numRegs_) +
-                     static_cast<unsigned>(r)];
+        return regs_[static_cast<unsigned>(r) * kWarpSize + lane];
     }
 
     void
     setReg(unsigned lane, int r, RegValue v)
     {
-        regs_[lane * static_cast<unsigned>(numRegs_) +
-              static_cast<unsigned>(r)] = v;
+        regs_[static_cast<unsigned>(r) * kWarpSize + lane] = v;
     }
 
     bool
@@ -198,7 +198,6 @@ class Warp
     LaneMask live_ = 0;
     std::vector<StackEntry> stack_;
 
-    int numRegs_ = 0;
     std::vector<RegValue> regs_;
     std::array<std::uint8_t, kWarpSize> preds_{};
 

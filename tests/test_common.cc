@@ -4,7 +4,11 @@
  * RNG determinism and table/chart rendering.
  */
 
+#include <deque>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +80,152 @@ TEST(TimedQueue, LaterPushesKeepOrderEvenWhenReadyEarlier)
     EXPECT_EQ(q.pop(), 1);
     EXPECT_FALSE(q.headReady(6));
     EXPECT_TRUE(q.headReady(8));
+}
+
+/**
+ * TimedQueue before its ring buffer: entries in a std::deque. The
+ * class is kept verbatim apart from its name; the property test
+ * below drives both.
+ */
+template <typename T>
+class ReferenceTimedQueue
+{
+  public:
+    /**
+     * @param capacity maximum number of in-flight entries (0 = panic).
+     * @param min_latency cycles an entry must stay before it can pop.
+     */
+    ReferenceTimedQueue(std::size_t capacity, Cycle min_latency)
+        : capacity_(capacity), minLatency_(min_latency)
+    {
+        GPULAT_ASSERT(capacity > 0, "queue capacity must be positive");
+    }
+
+    /** True if another entry can be accepted this cycle. */
+    bool full() const { return entries_.size() >= capacity_; }
+
+    /** True if no entries are in flight. */
+    bool empty() const { return entries_.empty(); }
+
+    /** Number of in-flight entries. */
+    std::size_t size() const { return entries_.size(); }
+
+    /** Configured capacity. */
+    std::size_t capacity() const { return capacity_; }
+
+    /** Configured minimum residency in cycles. */
+    Cycle minLatency() const { return minLatency_; }
+
+    /**
+     * Push an entry at cycle @p now.
+     * @return false (and leave @p value untouched) if full.
+     */
+    bool
+    push(Cycle now, T value)
+    {
+        if (full())
+            return false;
+        entries_.push_back(Entry{now + minLatency_, std::move(value)});
+        return true;
+    }
+
+    /** True if the head entry exists and its residency has elapsed. */
+    bool
+    headReady(Cycle now) const
+    {
+        return !entries_.empty() && entries_.front().readyAt <= now;
+    }
+
+    /** Peek the head payload; undefined if empty. */
+    const T &front() const { return entries_.front().value; }
+    T &front() { return entries_.front().value; }
+
+    /** Cycle at which the head becomes poppable; kNoCycle if empty. */
+    Cycle
+    headReadyAt() const
+    {
+        return entries_.empty() ? kNoCycle : entries_.front().readyAt;
+    }
+
+    /** Pop and return the head payload; undefined if !headReady. */
+    T
+    pop()
+    {
+        GPULAT_ASSERT(!entries_.empty(), "pop from empty queue");
+        T v = std::move(entries_.front().value);
+        entries_.pop_front();
+        return v;
+    }
+
+  private:
+    struct Entry
+    {
+        Cycle readyAt;
+        T value;
+    };
+
+    std::size_t capacity_;
+    Cycle minLatency_;
+    std::deque<Entry> entries_;
+};
+
+/** Property: over seeded push/pop sequences the ring answers every
+ *  query as the deque did, through growth and wrap-around. */
+TEST(TimedQueueProperty, MatchesDequeReference)
+{
+    struct Shape
+    {
+        std::size_t capacity;
+        Cycle latency;
+    };
+    constexpr std::size_t kUnbounded =
+        std::numeric_limits<std::size_t>::max();
+    for (const Shape shape :
+         {Shape{1, 0}, Shape{1, 3}, Shape{2, 1}, Shape{3, 0},
+          Shape{8, 5}, Shape{100, 2}, Shape{kUnbounded, 0},
+          Shape{kUnbounded, 30}}) {
+        const std::string where = "capacity " +
+            std::to_string(shape.capacity) + " latency " +
+            std::to_string(shape.latency);
+        TimedQueue<std::string> ring(shape.capacity, shape.latency);
+        ReferenceTimedQueue<std::string> ref(shape.capacity,
+                                             shape.latency);
+        Rng rng(shape.capacity * 31 + shape.latency);
+        int id = 0;
+        Cycle now = 0;
+        for (int step = 0; step < 20000; ++step) {
+            // Phases of mostly-push and mostly-pop move the
+            // occupancy up and down, so the ring grows, drains and
+            // wraps many times.
+            const bool filling = step / 500 % 2 == 0;
+            now += rng.below(3);
+            ASSERT_EQ(ring.full(), ref.full()) << where;
+            ASSERT_EQ(ring.empty(), ref.empty()) << where;
+            ASSERT_EQ(ring.size(), ref.size()) << where;
+            ASSERT_EQ(ring.headReady(now), ref.headReady(now)) << where;
+            ASSERT_EQ(ring.headReadyAt(), ref.headReadyAt()) << where;
+            if (!ref.empty()) {
+                ASSERT_EQ(ring.front(), ref.front()) << where;
+            }
+            if (rng.below(4) < (filling ? 3u : 1u)) {
+                // Long enough to live on the heap, so a lost move
+                // shows as a wrong payload.
+                const std::string v =
+                    "payload-" + std::to_string(id++) +
+                    std::string(24, 'x');
+                ASSERT_EQ(ring.push(now, v), ref.push(now, v)) << where;
+            } else if (ref.headReady(now)) {
+                ASSERT_EQ(ring.pop(), ref.pop()) << where;
+            }
+        }
+        while (!ref.empty()) {
+            const Cycle at = ref.headReadyAt();
+            ASSERT_EQ(ring.headReadyAt(), at) << where;
+            ASSERT_EQ(ring.pop(), ref.pop()) << where;
+        }
+        EXPECT_TRUE(ring.empty()) << where;
+        EXPECT_EQ(ring.capacity(), shape.capacity);
+    }
 }
 
 TEST(Counter, Increments)

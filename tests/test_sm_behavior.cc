@@ -5,6 +5,9 @@
  * exposure accounting, all observed through end-to-end runs.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "gpu/gpu.hh"
@@ -313,6 +316,97 @@ TEST(SmBehavior, MultipleSchedulersIssueInParallel)
         return gpu.launch(k, 4, 256, {buf}).cycles;
     };
     EXPECT_LT(cycles_with_scheds(4), cycles_with_scheds(1));
+}
+
+// ---------------------------------------------------------------
+// Late completions. EXIT waits on no register, so a warp can retire
+// with a writeback, load or atomic still in flight, and with one
+// resident block the next block's warp takes the same slot before
+// it lands. The completion belongs to the retired warp only.
+
+GpuConfig
+oneBlockAtATime()
+{
+    GpuConfig cfg = testConfig();
+    cfg.sm.maxBlocksPerSm = 1;
+    return cfg;
+}
+
+TEST(SmBehavior, LateWritebackDoesNotClearTheNextWarpsScoreboard)
+{
+    GpuConfig cfg = oneBlockAtATime();
+    cfg.sm.fpLatency = 200;
+    Gpu gpu(cfg);
+    // Each block times fmul -> dependent fadd with clock, then
+    // exits with a dead fmul to the same register in flight.
+    const Kernel k = assemble(R"(
+        mov r1, 3
+        s2r r0, ctaid
+        shl r6, r0, 3
+        mov r8, param0
+        iadd r8, r8, r6
+        clock r3
+        fmul r2, r1, r1
+        fadd r7, r2, r2
+        clock r4
+        isub r5, r4, r3
+        st.global [r8], r5
+        fmul r2, r1, r1
+        exit
+    )");
+    const unsigned blocks = 8;
+    const Addr buf = gpu.alloc(blocks * 8);
+    gpu.launch(k, blocks, 32, {buf});
+    std::vector<std::uint64_t> measured(blocks);
+    gpu.copyFromDevice(measured.data(), buf, blocks * 8);
+    // fmul issues one cycle after the first clock and fadd waits
+    // out its 200 cycles, in every block.
+    for (unsigned b = 0; b < blocks; ++b)
+        EXPECT_EQ(measured[b], 202u) << "block " << b;
+}
+
+TEST(SmBehavior, LateAtomicResultIsNotWrittenIntoTheNextWarp)
+{
+    Gpu gpu(oneBlockAtATime());
+    // Each block sets r9, delays, stores r9, then exits with an
+    // atomic returning into r9 still in flight.
+    std::string src = R"(
+        s2r r0, ctaid
+        s2r r1, tid
+        mov r9, 7
+        mov r2, 0
+    )";
+    for (int i = 0; i < 80; ++i)
+        src += "iadd r2, r2, 1\n";
+    src += R"(
+        shl r3, r0, 5
+        iadd r3, r3, r1
+        shl r3, r3, 3
+        mov r4, param0
+        iadd r4, r4, r3
+        st.global [r4], r9
+        mov r5, param1
+        mov r6, 1
+        atom.add r9, [r5], r6
+        exit
+    )";
+    const unsigned blocks = 16;
+    const unsigned threads = blocks * kWarpSize;
+    const Addr out = gpu.alloc(threads * 8);
+    const Addr counter = gpu.alloc(8);
+    const std::uint64_t zero = 0;
+    gpu.copyToDevice(counter, &zero, 8);
+    gpu.launch(assemble(src), blocks, kWarpSize, {out, counter});
+    std::vector<std::uint64_t> stored(threads);
+    gpu.copyFromDevice(stored.data(), out, threads * 8);
+    unsigned wrong = 0;
+    for (const std::uint64_t v : stored)
+        wrong += v != 7;
+    EXPECT_EQ(wrong, 0u) << "threads that stored another warp's "
+                            "atomic result";
+    std::uint64_t count = 0;
+    gpu.copyFromDevice(&count, counter, 8);
+    EXPECT_EQ(count, threads);
 }
 
 } // namespace
